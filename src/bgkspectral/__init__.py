@@ -18,7 +18,6 @@ from .errors import (
 )
 from .params import (
     GasParams,
-    VelocityMap,
     kernel_q,
     kernel_q_c,
     make_params,
@@ -29,7 +28,6 @@ from .params import (
 )
 from .quadrature import (
     QuadratureScheme,
-    integrate_gauss,
     integrate_pv,
     integrate_weighted,
     make_scheme,
@@ -44,12 +42,9 @@ from .moments import (
     moments_pv,
 )
 from .dispersion import (
-    DispersionEval,
     SokhotskyJump,
-    SpectrumDescription,
     circle_contour,
     count_zeros,
-    dispersion_eval,
     keyhole_contour,
     lambda_alpha,
     lambda_boundary,
@@ -93,14 +88,14 @@ from .limits import (
 __all__ = [
     "DomainError", "EvaluationError", "IllConditionedContourError",
     "WrongRegionError",
-    "GasParams", "VelocityMap", "make_params", "velocity_map", "mu_of",
+    "GasParams", "make_params", "velocity_map", "mu_of",
     "weight", "weight_c", "kernel_q", "kernel_q_c",
-    "QuadratureScheme", "make_scheme", "integrate_weighted", "integrate_gauss",
-    "integrate_pv", "pv_interval",
+    "QuadratureScheme", "make_scheme", "integrate_weighted", "integrate_pv",
+    "pv_interval",
     "MomentSet", "Region", "moments_at", "moments_pv", "moments_boundary",
     "asymptotic_moments",
-    "DispersionEval", "SpectrumDescription", "SokhotskyJump", "dispersion_eval",
-    "lambda_matrix", "lambda_fn", "lambda_pv", "lambda_boundary", "lambda_alpha",
+    "SokhotskyJump", "lambda_matrix", "lambda_fn", "lambda_pv", "lambda_boundary",
+    "lambda_alpha",
     "q_tilde", "sokhotsky_jump", "count_zeros", "laurent_order_at_infinity",
     "keyhole_contour", "semicircle_contour", "circle_contour",
     "EigenData", "SpectralExpansion", "eigen_data", "discrete_solution",

@@ -27,11 +27,12 @@ import numpy as np
 
 from . import __version__
 from .dispersion import (
+    _det3,
     count_zeros,
     keyhole_contour,
     lambda_boundary,
     lambda_fn,
-    lambda_pv,
+    lambda_matrix,
     laurent_order_at_infinity,
     semicircle_contour,
     sokhotsky_jump,
@@ -41,6 +42,7 @@ from .limits import (
     FM_DECAY_RATE,
     FM_DECAY_RATE_QUOTED,
     FreeMolecularSolution,
+    _fm_quad,
     fm_basis,
     fm_general_solution,
     fm_kernel,
@@ -49,8 +51,8 @@ from .limits import (
     fm_residual,
     lambda_a0,
 )
-from .moments import moments_at, moments_boundary, moments_pv
-from .params import kernel_q_c, make_params
+from .moments import Region, moments_at, moments_boundary, moments_pv
+from .params import kernel_q_c, make_params, on_cut
 from .quadrature import integrate_weighted, make_scheme
 from .spectrum import discrete_solution, discrete_solution_dx, normalization_check, residual_2_4
 
@@ -246,10 +248,7 @@ def _checks_for(params, scheme):
 
     # free-molecular projected system (slope-independent)
     fm_project_system()
-    from .quadrature import gauss_panels
-
-    cq, wq = gauss_panels(0.0, 8.6, n_panels=10, n_per=20)
-    wq = wq * np.exp(-cq * cq) * cq
+    cq, wq = _fm_quad()
     gram_dev = 0.0
     bp, bm = fm_basis(cq), fm_basis(-cq)
     for i in range(6):
@@ -359,19 +358,17 @@ def cmd_dispersion_eval(args, parser) -> int:
     params = make_params(cfg.a)
     scheme = make_scheme(params, cfg.nodes)
     z = cfg.z
-    on_cut = z.imag == 0.0 and abs(z.real) <= params.alpha
-    if on_cut:
+    if on_cut(params, z):
         if args.side == "pv":
             ms = moments_pv(params, scheme, z.real)
-            lam = complex(lambda_pv(params, scheme, z.real))
         else:
             ms = moments_boundary(params, scheme, z.real, args.side)
-            lam = complex(lambda_boundary(params, scheme, z.real, args.side))
-        region = ms.region.value
     else:
         ms = moments_at(params, scheme, z)
-        lam = complex(lambda_fn(params, scheme, z))
-        region = ms.region.value
+    region = ms.region.value
+    lam = complex(_det3(lambda_matrix(params, ms)))
+    if ms.region is Region.ON_CUT_PV:
+        lam = complex(lam.real)  # drop the signed zero of the complex arithmetic
     header = ("z_re", "z_im", "region", "lambda_re", "lambda_im", "abs_lambda")
     row = (z.real, z.imag, region, lam.real, lam.imag, abs(lam))
     if cfg.fmt == "json":

@@ -29,42 +29,13 @@ from .errors import DomainError, EvaluationError, IllConditionedContourError
 from .moments import (
     MomentSet,
     Region,
-    boundary_jump_array,
-    moments_boundary,
     moments_pv,
+    tn_boundary_array,
     tn_offcut_array,
     tn_pv_array,
 )
-from .params import GasParams, rho_of_c, velocity_map
+from .params import GasParams, on_cut, rho_of_c, velocity_map
 from .quadrature import QuadratureScheme
-
-
-@dataclass(frozen=True)
-class DispersionEval:
-    """Matrix, determinant and cofactor determinants at one point.
-
-    ``cofactors`` holds the replaced-column determinants (the solution
-    numerators of the moment system); it is None off the cut, where the
-    velocity map of the evaluation point is not defined.
-    """
-
-    point: complex
-    region: Region
-    matrix: np.ndarray
-    det: complex
-    cofactors: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class SpectrumDescription:
-    """Continuous interval (-alpha, alpha) plus one discrete point at infinity."""
-
-    params: GasParams
-    discrete_multiplicity: int = 4
-
-    @property
-    def continuous(self) -> tuple[float, float]:
-        return (-self.params.alpha, self.params.alpha)
 
 
 def _assemble(params: GasParams, t: np.ndarray) -> np.ndarray:
@@ -94,10 +65,15 @@ def lambda_matrix(params: GasParams, moments: MomentSet) -> np.ndarray:
     return _assemble(params, moments.t)
 
 
-def _cofactors(params: GasParams, matrix: np.ndarray, point: float) -> np.ndarray:
-    c = velocity_map(params, float(point))
-    col = np.array([1.0, c, c * c], dtype=complex)
-    out = np.empty(3, dtype=complex)
+def _cofactors(matrix: np.ndarray, c) -> np.ndarray:
+    """Replaced-column determinants: column k of ``matrix`` -> (1, C, C**2).
+
+    Vectorized: ``matrix`` has shape (3, 3) + tail and ``c`` shape tail;
+    the result has shape (3,) + tail.
+    """
+    c = np.asarray(c, dtype=float)
+    col = np.stack([np.ones_like(c), c, c * c])
+    out = np.empty((3,) + c.shape, dtype=complex)
     for k in range(3):
         m = matrix.copy()
         m[:, k] = col
@@ -105,16 +81,18 @@ def _cofactors(params: GasParams, matrix: np.ndarray, point: float) -> np.ndarra
     return out
 
 
-def dispersion_eval(params: GasParams, moments: MomentSet) -> DispersionEval:
-    """Assemble matrix, determinant and (on the cut) cofactors."""
-    m = lambda_matrix(params, moments)
-    det = _det3(m)
-    cof = None
-    pt = moments.point
-    if pt.imag == 0.0 and abs(pt.real) < params.alpha:
-        cof = _cofactors(params, m, pt.real)
-    return DispersionEval(
-        point=pt, region=moments.region, matrix=m, det=det, cofactors=cof
+def _q_tilde(params: GasParams, cof, c_mu):
+    """Q~ = r0 L0 + r1 C(mu) L1 + r2 (C(mu)**2 - beta)(L2 - beta L0).
+
+    ``cof`` holds L0, L1, L2 on its first axis.  ``c_mu**2`` is exact for
+    an ndarray but goes through ``pow`` for a Python float, which can
+    differ from ``c_mu * c_mu`` in the last bit: :func:`q_tilde` passes a
+    float, the spectrum module passes arrays.
+    """
+    return (
+        params.r0 * cof[0]
+        + params.r1 * c_mu * cof[1]
+        + params.r2 * (c_mu**2 - params.beta) * (cof[2] - params.beta * cof[0])
     )
 
 
@@ -125,16 +103,11 @@ def lambda_fn(params: GasParams, scheme: QuadratureScheme, z):
     the assembled 3x3 matrix.
     """
     z = np.asarray(z, dtype=complex)
-    if z.ndim == 0:
-        on_cut = z.imag == 0.0 and abs(z.real) <= params.alpha
-    else:
-        on_cut = np.any((z.imag == 0.0) & (np.abs(z.real) <= params.alpha))
-    if on_cut:
+    if np.any(on_cut(params, z)):
         raise DomainError(
             "point on the cut: use lambda_pv or lambda_boundary for tagged values"
         )
-    t = tn_offcut_array(params, z)
-    det = _det3(_assemble(params, t))
+    det = _det3(_assemble(params, tn_offcut_array(params, z)))
     return complex(det) if det.ndim == 0 else det
 
 
@@ -152,15 +125,7 @@ def lambda_pv(params: GasParams, scheme: QuadratureScheme, x):
 
 def lambda_boundary(params: GasParams, scheme: QuadratureScheme, x, side: str):
     """Boundary values lambda(x +- i0) on the cut; vectorized over x."""
-    if side in ("plus", "+", 1):
-        sgn = 1.0
-    elif side in ("minus", "-", -1):
-        sgn = -1.0
-    else:
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    x = np.asarray(x, dtype=float)
-    t = tn_pv_array(params, x).astype(complex) + sgn * boundary_jump_array(params, x)
-    det = _det3(_assemble(params, t))
+    det = _det3(_assemble(params, tn_boundary_array(params, x, side)))
     return complex(det) if det.ndim == 0 else det
 
 
@@ -172,7 +137,7 @@ def lambda_alpha(params: GasParams, moments: MomentSet, alpha_index: int, eta: f
     if alpha_index not in (0, 1, 2):
         raise DomainError(f"column index must be 0, 1 or 2, got {alpha_index}")
     m = lambda_matrix(params, moments)
-    return complex(_cofactors(params, m, eta)[alpha_index])
+    return complex(_cofactors(m, velocity_map(params, float(eta)))[alpha_index])
 
 
 def q_tilde(params: GasParams, moments: MomentSet, eta: float, mu: float):
@@ -183,13 +148,8 @@ def q_tilde(params: GasParams, moments: MomentSet, eta: float, mu: float):
     moment data (PV region).
     """
     m = lambda_matrix(params, moments)
-    cof = _cofactors(params, m, eta)
-    c_mu = velocity_map(params, mu)
-    val = (
-        params.r0 * cof[0]
-        + params.r1 * c_mu * cof[1]
-        + params.r2 * (c_mu**2 - params.beta) * (cof[2] - params.beta * cof[0])
-    )
+    cof = _cofactors(m, velocity_map(params, float(eta)))
+    val = _q_tilde(params, cof, velocity_map(params, mu))
     if moments.region is Region.ON_CUT_PV:
         return float(val.real)
     return complex(val)
@@ -280,8 +240,7 @@ def count_zeros(params: GasParams, scheme: QuadratureScheme, contour,
         the winding fails to stabilize.
     """
     v = np.asarray(contour, dtype=complex)
-    on_cut = (v.imag == 0.0) & (np.abs(v.real) <= params.alpha)
-    if np.any(on_cut):
+    if np.any(on_cut(params, v)):
         raise IllConditionedContourError("contour touches the spectral cut")
 
     prev = None

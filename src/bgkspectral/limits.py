@@ -29,6 +29,7 @@ import numpy as np
 from scipy.special import dawsn, roots_legendre, wofz
 
 from .errors import DomainError
+from .params import side_sign
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -72,13 +73,7 @@ def lambda_c_pv(x):
 def lambda_c_boundary(x, side: str):
     """Boundary values lambda_C(x +- i0) = PV +- i sqrt(pi) x exp(-x**2)."""
     x = np.asarray(x, dtype=float)
-    if side in ("plus", "+", 1):
-        sgn = 1.0
-    elif side in ("minus", "-", -1):
-        sgn = -1.0
-    else:
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    v = lambda_c_pv(x) + sgn * 1j * SQRT_PI * x * np.exp(-x * x)
+    v = lambda_c_pv(x) + side_sign(side) * 1j * SQRT_PI * x * np.exp(-x * x)
     return complex(v) if np.ndim(v) == 0 else v
 
 
@@ -163,24 +158,20 @@ def _gauss_moment(m: int) -> float:
     return float(math.gamma((m + 1) / 2))
 
 
-def _fm_inner(i: int, j: int, extra_sgn: int = 0, extra_poly=(1.0,)) -> float:
-    """<B_i, B_j * extra> with weight exp(-C**2)|C|, from exact moments."""
+def fm_projection_inner(i: int, j: int, extra_sgn: int = 0) -> float:
+    """Exact projection integral <B_i, B_j> (or with an extra sgn factor).
+
+    Weight exp(-C**2)|C|, from exact half-line Gaussian moments.  Exposed so
+    verification code can re-derive every matrix element of the projected
+    system against independent quadrature.
+    """
     pi_, si = _FM_BASIS_POLY[i], _FM_BASIS_SGN[i]
     pj, sj = _FM_BASIS_POLY[j], _FM_BASIS_SGN[j]
-    prod = np.polymul(np.polymul(pi_[::-1], pj[::-1]), extra_poly[::-1])[::-1]
+    prod = np.polymul(pi_[::-1], pj[::-1])[::-1]
     sgn = (si + sj + extra_sgn) % 2
     if sgn:
         return sum(c * _gauss_moment(m + 1) for m, c in enumerate(prod))
     return sum(c * _half_moment(m) for m, c in enumerate(prod))
-
-
-def fm_projection_inner(i: int, j: int, extra_sgn: int = 0) -> float:
-    """Exact projection integral <B_i, B_j> (or with an extra sgn factor).
-
-    Exposed so verification code can re-derive every matrix element of the
-    projected system against independent quadrature.
-    """
-    return _fm_inner(i, j, extra_sgn)
 
 
 @lru_cache(maxsize=1)
@@ -194,20 +185,15 @@ def fm_project_system() -> np.ndarray:
     system is  S y' = (R - G) y.
     """
     n = 6
-    gram = np.array([[_fm_inner(i, j) for j in range(n)] for i in range(n)])
-    s_mat = np.array(
-        [[_fm_inner(i, j, extra_sgn=1) for j in range(n)] for i in range(n)]
-    )
+    inner = fm_projection_inner
+    gram = np.array([[inner(i, j) for j in range(n)] for i in range(n)])
+    s_mat = np.array([[inner(i, j, extra_sgn=1) for j in range(n)] for i in range(n)])
     # K[B_j] = K0 + K1 C + K2 (C**2 - 1) with the three projection moments
     r_mat = np.zeros((n, n))
     for j in range(n):
-        k0 = _fm_inner(0, j)
-        k1 = _fm_inner(2, j)
-        k2 = _fm_inner(4, j)
+        k0, k1, k2 = inner(0, j), inner(2, j), inner(4, j)
         for i in range(n):
-            r_mat[i, j] = (
-                k0 * _fm_inner(i, 0) + k1 * _fm_inner(i, 2) + k2 * _fm_inner(i, 4)
-            )
+            r_mat[i, j] = k0 * inner(i, 0) + k1 * inner(i, 2) + k2 * inner(i, 4)
     return np.linalg.solve(s_mat, r_mat - gram)
 
 

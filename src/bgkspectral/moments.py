@@ -23,8 +23,9 @@ which is evaluated through the Faddeeva function and the exponential
 integral.  The construction is uniformly accurate for any distance to
 the cut (the fixed quadrature rule, by contrast, loses all digits within
 O(1) of it); an asymptotic moment series takes over when the factorized
-pole ``Z`` is large.  A direct-quadrature evaluation path is kept for
-cross-checks far from the cut.
+pole ``Z`` is large.  Direct quadrature of the moments serves only as a
+test oracle far from the cut (``quadrature_moments`` in
+``tests/conftest.py``).
 
 Everything here is a pure function of immutable inputs; concurrent use
 needs no coordination.
@@ -40,8 +41,8 @@ import numpy as np
 from scipy.special import dawsn, exp1, expi, gamma, wofz
 
 from .errors import DomainError, WrongRegionError
-from .params import GasParams, rho_of_c, velocity_map
-from .quadrature import QuadratureScheme, integrate_weighted
+from .params import GasParams, on_cut, rho_of_c, side_sign, velocity_map
+from .quadrature import QuadratureScheme
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -189,50 +190,50 @@ def _cauchy_halfline_poly(a: float, n: int, z, phi_z):
 # t_n evaluation
 # ---------------------------------------------------------------------------
 
+def _tn_halflines(a: float, z: np.ndarray) -> np.ndarray:
+    """t0..t4 as the sum of the two factorized half-line transforms.
+
+    ``z`` is complex (a point off the cut) or real and nonnegative (``|x|``
+    for the principal value).  Real ``z`` stays in real arithmetic, because
+    a complex division by ``1 - a*z`` rounds differently from a real one.
+    At real ``z = 0`` the result is finite and the caller sets it.
+    """
+    real = not np.iscomplexobj(z)
+    dp, dm = 1.0 - a * z, 1.0 + a * z
+    # the factorized half-line route applies uniformly, a = 0 included
+    # (Z+ = Z- = z there); its series branch keeps large arguments stable
+    zp, zm = z / dp, -(z / dm)
+    phi_p, phi_m = _phi_halfline(zp), _phi_halfline(zm)
+    if real:
+        phi_p, phi_m = phi_p.real, phi_m.real
+    out = np.empty((5,) + z.shape, dtype=z.dtype)
+    for n in range(5):
+        jp = _cauchy_halfline_poly(a, n, zp, phi_p)
+        jm = _cauchy_halfline_poly(a, n, zm, phi_m)
+        if real:
+            jp, jm = jp.real, jm.real
+        out[n] = z * (jp / dp + (-1.0) ** (n + 1) * jm / dm)
+    return out
+
+
 def tn_offcut_array(params: GasParams, z) -> np.ndarray:
     """t0..t4 at points off the cut; shape (5,) + z.shape, complex.
 
     No region validation is performed here; use :func:`moments_at` for the
     checked scalar interface.
     """
-    z = np.asarray(z, dtype=complex)
-    a = params.a
-    # the factorized half-line route applies uniformly, a = 0 included
-    # (Z+ = Z- = z there); its series branch keeps large arguments stable
-    zp = z / (1.0 - a * z)
-    zm = z / (1.0 + a * z)
-    phi_p = _phi_halfline(zp)
-    phi_m = _phi_halfline(-zm)
-    out = np.empty((5,) + z.shape, dtype=complex)
-    for n in range(5):
-        jp = _cauchy_halfline_poly(a, n, zp, phi_p)
-        jm = _cauchy_halfline_poly(a, n, -zm, phi_m)
-        out[n] = z * (jp / (1.0 - a * z) + (-1.0) ** (n + 1) * jm / (1.0 + a * z))
-    return out
+    return _tn_halflines(params.a, np.asarray(z, dtype=complex))
 
 
 def tn_pv_array(params: GasParams, x) -> np.ndarray:
     """Principal-value t0..t4 at real cut points; shape (5,) + x.shape, real."""
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) >= params.alpha):
-        raise DomainError(f"cut point outside (-{params.alpha}, {params.alpha})")
     ax = np.abs(x)
-    a = params.a
-    out = np.empty((5,) + x.shape, dtype=float)
-    nz = ax > 0.0
-    zp = np.where(nz, ax / (1.0 - a * ax), 1.0)
-    zm = np.where(nz, ax / (1.0 + a * ax), 1.0)
-    phi_p = _phi_halfline(zp.astype(complex)).real
-    phi_m = _phi_halfline((-zm).astype(complex)).real
-    for n in range(5):
-        jp = _cauchy_halfline_poly(a, n, zp.astype(complex), phi_p).real
-        jm = _cauchy_halfline_poly(a, n, (-zm).astype(complex), phi_m).real
-        val = ax * (jp / (1.0 - a * ax) + (-1.0) ** (n + 1) * jm / (1.0 + a * ax))
-        out[n] = np.where(nz, val, 0.0)
+    if np.any(ax >= params.alpha):
+        raise DomainError(f"cut point outside (-{params.alpha}, {params.alpha})")
+    out = np.where(ax > 0.0, _tn_halflines(params.a, ax), 0.0)
     # parity t_n(-x) = (-1)**n t_n(x)
-    sgn = np.where(x < 0, -1.0, 1.0)
-    for n in (1, 3):
-        out[n] = out[n] * sgn
+    out[1::2] *= np.where(x < 0, -1.0, 1.0)
     return out
 
 
@@ -244,23 +245,20 @@ def boundary_jump_array(params: GasParams, x) -> np.ndarray:
     return np.stack([1j * math.pi * x * c**n * rho for n in range(5)])
 
 
-def _on_cut(params: GasParams, z: complex) -> bool:
-    return z.imag == 0.0 and abs(z.real) <= params.alpha
+def tn_boundary_array(params: GasParams, x, side) -> np.ndarray:
+    """Boundary values t_n(x +- i0) = t_n^PV(x) +- i*pi*x*C(x)**n*rho(x)."""
+    sgn = side_sign(side)
+    x = np.asarray(x, dtype=float)
+    return tn_pv_array(params, x).astype(complex) + sgn * boundary_jump_array(params, x)
 
 
-def moments_at(params: GasParams, scheme: QuadratureScheme, z,
-               method: str = "analytic") -> MomentSet:
+def moments_at(params: GasParams, scheme: QuadratureScheme, z) -> MomentSet:
     """Moment set at a complex point off the cut ``[-alpha, alpha]``.
 
     Parameters
     ----------
     z : complex
         Any point not on the closed cut (the whole real axis when a = 0).
-    method : {"analytic", "quadrature"}
-        "analytic" (default) uses the factorized special-function form and
-        is accurate at any distance from the cut.  "quadrature" integrates
-        directly with ``scheme`` and is a cross-check valid only well away
-        from the cut (distance of order 1).
 
     Raises
     ------
@@ -269,25 +267,11 @@ def moments_at(params: GasParams, scheme: QuadratureScheme, z,
         :func:`moments_boundary` there.
     """
     z = complex(z)
-    if _on_cut(params, z):
+    if on_cut(params, z):
         raise WrongRegionError(
             "point lies on the spectral cut; use moments_pv or moments_boundary"
         )
-    if method == "analytic":
-        t = tn_offcut_array(params, z)
-    elif method == "quadrature":
-        t = np.array(
-            [
-                z * integrate_weighted(
-                    scheme,
-                    lambda c, n=n: c**n / (c / (1.0 + params.a * np.abs(c)) - z),
-                )
-                for n in range(5)
-            ]
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return MomentSet(point=z, region=Region.OFF_CUT, t=t)
+    return MomentSet(point=z, region=Region.OFF_CUT, t=tn_offcut_array(params, z))
 
 
 def moments_pv(params: GasParams, scheme: QuadratureScheme, x: float) -> MomentSet:
@@ -305,14 +289,8 @@ def moments_boundary(params: GasParams, scheme: QuadratureScheme, x: float,
     x = float(x)
     if abs(x) >= params.alpha:
         raise DomainError(f"boundary point must satisfy |x| < {params.alpha}")
-    if side in ("plus", "+", 1):
-        sgn, region = 1.0, Region.BOUNDARY_PLUS
-    elif side in ("minus", "-", -1):
-        sgn, region = -1.0, Region.BOUNDARY_MINUS
-    else:
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    t = tn_pv_array(params, np.asarray(x)).astype(complex)
-    t += sgn * boundary_jump_array(params, np.asarray(x))
+    region = Region.BOUNDARY_PLUS if side_sign(side) > 0 else Region.BOUNDARY_MINUS
+    t = tn_boundary_array(params, x, side)
     return MomentSet(point=complex(x), region=region, t=t)
 
 

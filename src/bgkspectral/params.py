@@ -125,27 +125,23 @@ def mu_of(params: GasParams, c):
     return mu if mu.ndim else float(mu)
 
 
-def dmu_dc(params: GasParams, c):
-    """Jacobian of ``mu_of``: 1/(1 + a|C|)**2."""
-    c = np.asarray(c, dtype=float)
-    return (1.0 + params.a * np.abs(c)) ** -2.0
+def side_sign(side) -> float:
+    """+1.0 for the boundary value x + i0 on the cut, -1.0 for x - i0.
 
-
-@dataclass(frozen=True)
-class VelocityMap:
-    """The bijection mu <-> C for a fixed parameter set.
-
-    Thin object wrapper around :func:`velocity_map` / :func:`mu_of`, handy
-    when the map is passed around as a unit.
+    ``side`` is "plus", "+" or 1, or "minus", "-" or -1; anything else
+    raises ValueError.
     """
+    if side in ("plus", "+", 1):
+        return 1.0
+    if side in ("minus", "-", -1):
+        return -1.0
+    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
-    params: GasParams
 
-    def c_of(self, mu):
-        return velocity_map(self.params, mu)
-
-    def mu_of(self, c):
-        return mu_of(self.params, c)
+def on_cut(params: GasParams, z) -> np.ndarray:
+    """Elementwise test for the closed cut [-alpha, alpha] (the real axis at a=0)."""
+    z = np.asarray(z, dtype=complex)
+    return (z.imag == 0.0) & (np.abs(z.real) <= params.alpha)
 
 
 def weight(params: GasParams, mu):

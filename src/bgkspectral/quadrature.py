@@ -45,8 +45,6 @@ class QuadratureScheme:
         symmetrically, ``sum(weights * (f(nodes) + f(-nodes)))``.
     weights_gauss : ndarray
         Same but for the bare Gaussian weight ``exp(-C**2)``.
-    pv_strategy : str
-        Descriptor of the principal-value treatment.
 
     Immutable after construction; integration calls are pure and reentrant.
     """
@@ -56,7 +54,6 @@ class QuadratureScheme:
     nodes: np.ndarray = field(repr=False)
     weights_weighted: np.ndarray = field(repr=False)
     weights_gauss: np.ndarray = field(repr=False)
-    pv_strategy: str = "symmetric-subtraction"
 
 
 def make_scheme(params: GasParams, n: int = 200) -> QuadratureScheme:
@@ -101,11 +98,6 @@ def integrate_weighted(scheme: QuadratureScheme, f):
     controls the tails.
     """
     return np.sum(scheme.weights_weighted * _eval_sym(f, scheme.nodes))
-
-
-def integrate_gauss(scheme: QuadratureScheme, f):
-    """Approximate ``int exp(-C**2) f(C) dC`` over the real line."""
-    return np.sum(scheme.weights_gauss * _eval_sym(f, scheme.nodes))
 
 
 def integrate_pv(scheme: QuadratureScheme, f, pole: float):

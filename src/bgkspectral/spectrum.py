@@ -24,8 +24,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, EvaluationError
-from .dispersion import _assemble, _cofactors, _det3, lambda_matrix
-from .moments import moments_pv, tn_pv_array
+from .dispersion import _assemble, _cofactors, _det3, _q_tilde
+from .moments import tn_pv_array
 from .params import GasParams, mu_of, rho_of_c, velocity_map
 from .quadrature import QuadratureScheme, integrate_pv, integrate_weighted, pv_interval
 
@@ -79,33 +79,26 @@ class EigenData:
     g: float = 1.0
 
 
+def _c_array(params: GasParams, mu) -> np.ndarray:
+    """C(mu) as an ndarray, so that :func:`_q_tilde` squares it exactly."""
+    return np.asarray(velocity_map(params, mu), dtype=float)
+
+
+def _eigen_arrays(params: GasParams, eta):
+    """PV determinant, PV cofactors, rho and C at cut points ``eta``, vectorized."""
+    eta = np.asarray(eta, dtype=float)
+    m = _assemble(params, tn_pv_array(params, eta).astype(complex))
+    c = _c_array(params, eta)
+    return _det3(m).real, _cofactors(m, c).real, rho_of_c(params, c), c
+
+
 def eigen_data(params: GasParams, scheme: QuadratureScheme, eta: float,
                g: float = 1.0) -> EigenData:
     """Collect rho, C, PV cofactors and PV determinant at ``eta``."""
     eta = float(eta)
-    ms = moments_pv(params, scheme, eta)
-    m = lambda_matrix(params, ms)
-    cof = _cofactors(params, m, eta).real
-    det = float(_det3(m).real)
-    c = float(velocity_map(params, eta))
-    return EigenData(
-        eta=eta,
-        lambda_pv=det,
-        cofactors=cof,
-        rho=float(rho_of_c(params, np.asarray(c))),
-        c_eta=c,
-        g=float(g),
-    )
-
-
-def _q_tilde_from(params: GasParams, data: EigenData, mu):
-    c_mu = np.asarray(velocity_map(params, mu), dtype=float)
-    l0, l1, l2 = data.cofactors
-    return (
-        params.r0 * l0
-        + params.r1 * c_mu * l1
-        + params.r2 * (c_mu * c_mu - params.beta) * (l2 - params.beta * l0)
-    )
+    det, cof, rho, c = _eigen_arrays(params, eta)
+    return EigenData(eta=eta, lambda_pv=float(det), cofactors=cof, rho=float(rho),
+                     c_eta=float(c), g=float(g))
 
 
 def eigenfunction_regular(params: GasParams, scheme: QuadratureScheme,
@@ -126,7 +119,7 @@ def eigenfunction_regular(params: GasParams, scheme: QuadratureScheme,
     if abs(eta - mu) < 1e-12:
         raise DomainError("eta == mu is the singular point of the eigenfunction")
     data = eigen_data(params, scheme, eta, g=g)
-    qt = float(_q_tilde_from(params, data, mu))
+    qt = float(_q_tilde(params, data.cofactors, _c_array(params, mu)))
     return data.g * eta * qt * data.rho / (data.lambda_pv * (eta - mu))
 
 
@@ -208,27 +201,11 @@ def apply_expansion(params: GasParams, scheme: QuadratureScheme,
             out += coeff * float(np.asarray(hk))
 
     lo, hi = expansion.eta_grid[0], expansion.eta_grid[-1]
+    c_mu = _c_array(params, mu)
 
-    # PV-cofactor data on the continuum grid hull, vectorized over eta
     def integrand(eta):
-        eta = np.asarray(eta, dtype=float)
-        t = tn_pv_array(params, eta).astype(complex)
-        m = _assemble(params, t)
-        det = _det3(m).real
-        c_eta = np.asarray(velocity_map(params, eta), dtype=float)
-        col = np.stack([np.ones_like(c_eta), c_eta, c_eta * c_eta]).astype(complex)
-        cof = np.empty((3,) + eta.shape)
-        for k in range(3):
-            mk = m.copy()
-            mk[:, k] = col
-            cof[k] = _det3(mk).real
-        c_mu = float(velocity_map(params, mu))
-        qt = (
-            params.r0 * cof[0]
-            + params.r1 * c_mu * cof[1]
-            + params.r2 * (c_mu * c_mu - params.beta) * (cof[2] - params.beta * cof[0])
-        )
-        rho_eta = rho_of_c(params, c_eta)
+        det, cof, rho_eta, _ = _eigen_arrays(params, eta)
+        qt = _q_tilde(params, cof, c_mu)
         expo = np.exp(-x / eta)
         if derivative:
             expo = expo * (-1.0 / eta)
@@ -313,7 +290,7 @@ def normalization_check(params: GasParams, scheme: QuadratureScheme,
     for a_idx in range(3):
         def f(c, a_idx=a_idx):
             mu = mu_of(params, c)
-            return -_q_tilde_from(params, data, mu) * c**a_idx
+            return -_q_tilde(params, data.cofactors, _c_array(params, mu)) * c**a_idx
 
         # PV int Q~ C^a rho/(eta-mu) dmu  ==  -PV int w(C) f.../(mu(C)-eta) dC
         pv_part = prefactor * integrate_pv(scheme, f, eta)

@@ -6,6 +6,7 @@ import scipy.integrate as si
 
 from bgkspectral import make_params, make_scheme
 from bgkspectral.params import mu_of
+from bgkspectral.quadrature import integrate_weighted
 
 A_GRID = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)
 
@@ -29,6 +30,20 @@ def adaptive_weighted(params, f, lim=8.6):
     val, _ = si.quad(g, -lim, lim, points=[0.0], limit=200, epsabs=1e-13,
                      epsrel=1e-13)
     return val
+
+
+def quadrature_moments(params, scheme, z):
+    """Direct-quadrature oracle for t0..t4 at a complex point z.
+
+    Integrates z * C**n / (mu(C) - z) with the fixed weighted rule, which
+    is accurate only well away from the cut (distance of order 1).
+    """
+    z = complex(z)
+    return np.array([
+        z * integrate_weighted(
+            scheme, lambda c, n=n: c**n / (c / (1.0 + params.a * np.abs(c)) - z))
+        for n in range(5)
+    ])
 
 
 def adaptive_pv(params, f, x, lim=8.6):

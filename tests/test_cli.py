@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -207,3 +208,28 @@ class TestDispersionEval:
         rep = json.loads(out)
         assert rep["region"] == "off-cut"
         assert len(rep["t"]) == 5
+
+
+#: the README's five example commands and the sha256 of each one's output
+#: file.  Any change to these bytes, a last-bit rounding change included,
+#: must be a deliberate re-pin, here and in perfbench/workloads.py.
+README_DIGESTS = {
+    "dispersion-curve --a 0 --x-min -4 --x-max 4 --points 401":
+        "42bd90494a564ad8b5944dd71ad75bc73067c3a90e1789badd6d66144d3347ec",
+    "spectrum-verify --a 1":
+        "d6dbdb38b52f65bd3cb95f5076a79c7a25f22d2a5144639a9caaf235e21da2c0",
+    "limits-compare --a-list 0 1e-6 1e-3 0.1 1 10 1000":
+        "fc5edc3a527800fd166fc714cc9a52855f5a285a2a393766dae1a116d8f6d8e8",
+    "fm-solve --A0 1 --At1 0.5 --x-min 0 --x-max 2":
+        "5b7115903323417a47aa5e7d1e8cef709bfa2e46f28389333b5a0dbbb606fc55",
+    "dispersion-eval --a 1 --z-re 0.3 --side plus":
+        "d7cc59dee0f9446fc33d5f229a145981171e34f2789e5a45ed3b487a420ba1d4",
+}
+
+
+@pytest.mark.parametrize("command", list(README_DIGESTS),
+                         ids=lambda c: c.split()[0])
+def test_readme_output_golden(command, tmp_path):
+    path = tmp_path / "out"
+    assert main(command.split() + ["--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == README_DIGESTS[command]

@@ -9,9 +9,9 @@ from bgkspectral import (
     IllConditionedContourError,
     MomentSet,
     Region,
+    WrongRegionError,
     circle_contour,
     count_zeros,
-    dispersion_eval,
     keyhole_contour,
     lambda_alpha,
     lambda_boundary,
@@ -26,6 +26,7 @@ from bgkspectral import (
     semicircle_contour,
     sokhotsky_jump,
 )
+from bgkspectral.cli import main
 from bgkspectral.dispersion import winding_number, _sample_polyline
 from bgkspectral.limits import lambda_a0, lambda_a0_pv
 from bgkspectral.params import velocity_map
@@ -140,9 +141,27 @@ class TestLambdaFunction:
             assert abs(v.imag) < 1e-14
 
     def test_cut_rejection(self, model):
+        # one closed-cut predicate decides for every entry point, endpoints
+        # included; the open-cut evaluators reject the endpoints too
         p, s = model[1.0]
         with pytest.raises(DomainError):
             lambda_fn(p, s, 0.5 + 0j)
+        for end in (p.alpha + 0j, -p.alpha + 0j):
+            with pytest.raises(DomainError):
+                lambda_fn(p, s, end)
+            with pytest.raises(WrongRegionError):
+                moments_at(p, s, end)
+            with pytest.raises(DomainError):
+                lambda_pv(p, s, end.real)
+        mixed = np.array([1 + 1j, 2.0 + 0j, p.alpha + 0j, -3 - 0.5j])
+        with pytest.raises(DomainError):
+            lambda_fn(p, s, mixed)
+        assert np.all(np.isfinite(lambda_fn(p, s, np.delete(mixed, 2))))
+        with pytest.raises(IllConditionedContourError):
+            count_zeros(p, s, np.array([p.alpha + 0j, 2 + 1j, -2 + 1j]))
+        with pytest.raises(SystemExit) as exc:
+            main(["dispersion-eval", "--a", "1", "--z-re", repr(p.alpha)])
+        assert exc.value.code == 2
 
 
 class TestCofactors:
@@ -328,29 +347,39 @@ class TestLaurent:
 
 class TestSpectrumDescription:
     def test_multiplicity_matches_laurent_order(self, model):
-        from bgkspectral import SpectrumDescription
-
+        # continuous spectrum (-alpha, alpha), one discrete point of order 4
         for a in (0.0, 1.0):
             p, s = model[a]
-            desc = SpectrumDescription(p)
             order, _ = laurent_order_at_infinity(p, s)
-            assert desc.discrete_multiplicity == order
-            lo, hi = desc.continuous
-            assert lo == -p.alpha and hi == p.alpha
+            assert order == 4
+            inside = np.array([-0.999, -0.5, 0.0, 0.5, 0.999]) * min(p.alpha, 3.0)
+            assert np.all(np.isfinite(lambda_pv(p, s, inside)))
+            for x in inside:
+                with pytest.raises(DomainError):
+                    lambda_fn(p, s, complex(x))
+            if math.isfinite(p.alpha):
+                for x in (-p.alpha, p.alpha):
+                    with pytest.raises(DomainError):
+                        lambda_pv(p, s, x)
+                    assert np.isfinite(lambda_fn(p, s, complex(1.001 * x)))
 
 
 class TestDispersionEval:
     def test_offcut_has_no_cofactors(self, model):
         p, s = model[1.0]
-        ev = dispersion_eval(p, moments_at(p, s, 1 + 1j))
-        assert ev.cofactors is None
-        assert ev.det == pytest.approx(lambda_fn(p, s, 1 + 1j), rel=1e-14)
+        ms = moments_at(p, s, 1 + 1j)
+        det = np.linalg.det(lambda_matrix(p, ms))
+        assert det == pytest.approx(lambda_fn(p, s, 1 + 1j), rel=1e-14)
+        # the velocity map, and so the replaced column, exists only on the cut
+        with pytest.raises(DomainError):
+            lambda_alpha(p, ms, 0, 1.5)
 
     def test_pv_eval_carries_cofactors(self, model):
         p, s = model[1.0]
-        ev = dispersion_eval(p, moments_pv(p, s, 0.3))
-        assert ev.cofactors is not None
-        assert ev.det.real == pytest.approx(lambda_pv(p, s, 0.3), rel=1e-13)
+        ms = moments_pv(p, s, 0.3)
+        det = np.linalg.det(lambda_matrix(p, ms))
+        assert det.real == pytest.approx(lambda_pv(p, s, 0.3), rel=1e-13)
+        assert all(np.isfinite(lambda_alpha(p, ms, k, 0.3)) for k in range(3))
 
     def test_a0_pv_matches_closed_form(self, model):
         p, s = model[0.0]

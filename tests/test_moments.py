@@ -8,6 +8,9 @@ from bgkspectral import (
     Region,
     WrongRegionError,
     asymptotic_moments,
+    lambda_a0_boundary,
+    lambda_boundary,
+    lambda_c_boundary,
     moments_at,
     moments_boundary,
     moments_pv,
@@ -16,7 +19,7 @@ from bgkspectral.moments import tn_offcut_array
 from bgkspectral.params import rho_of_c, velocity_map
 from bgkspectral.quadrature import integrate_weighted
 
-from conftest import A_GRID
+from conftest import A_GRID, quadrature_moments
 
 SQPI = math.sqrt(math.pi)
 
@@ -87,7 +90,7 @@ class TestOffCut:
     def test_analytic_matches_direct_quadrature(self, a, z, model):
         p, s = model[a]
         t_an = moments_at(p, s, z).t
-        t_qu = moments_at(p, s, z, method="quadrature").t
+        t_qu = quadrature_moments(p, s, z)
         assert np.max(np.abs(t_an - t_qu)) < 1e-10
 
 
@@ -171,10 +174,22 @@ class TestBoundary:
             extrap = 2.0 * lim[5e-5] - lim[1e-4]
             assert np.max(np.abs(extrap - tb)) < 1e-6
 
-    def test_bad_side(self, model):
+    @pytest.mark.parametrize("boundary", [
+        lambda p, s, side: moments_boundary(p, s, 0.3, side).t,
+        lambda p, s, side: lambda_boundary(p, s, 0.3, side),
+        lambda p, s, side: lambda_c_boundary(0.3, side),
+        lambda p, s, side: lambda_a0_boundary(0.3, side),
+    ], ids=["moments_boundary", "lambda_boundary", "lambda_c_boundary",
+            "lambda_a0_boundary"])
+    def test_bad_side(self, boundary, model):
         p, s = model[1.0]
         with pytest.raises(ValueError):
-            moments_boundary(p, s, 0.3, "up")
+            boundary(p, s, "up")
+        for spellings in (("plus", "+", 1), ("minus", "-", -1)):
+            vals = [boundary(p, s, side) for side in spellings]
+            assert np.array_equal(vals[0], vals[1])
+            assert np.array_equal(vals[0], vals[2])
+        assert not np.array_equal(boundary(p, s, "plus"), boundary(p, s, "minus"))
 
 
 def test_asymptotic_moments_closed_form(model):

@@ -64,7 +64,6 @@ class TestWeightedRule:
     def test_node_layout_symmetric_positive(self):
         s = make_scheme(make_params(1.0))
         assert np.all(s.nodes > 0)
-        assert s.pv_strategy == "symmetric-subtraction"
 
     def test_kinked_integrand(self):
         # |C|-kinks at the origin must not degrade the rule
