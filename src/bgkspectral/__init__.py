@@ -43,7 +43,6 @@ from .moments import (
 )
 from .dispersion import (
     SokhotskyJump,
-    circle_contour,
     count_zeros,
     keyhole_contour,
     lambda_alpha,
@@ -97,7 +96,7 @@ __all__ = [
     "SokhotskyJump", "lambda_matrix", "lambda_fn", "lambda_pv", "lambda_boundary",
     "lambda_alpha",
     "q_tilde", "sokhotsky_jump", "count_zeros", "laurent_order_at_infinity",
-    "keyhole_contour", "semicircle_contour", "circle_contour",
+    "keyhole_contour", "semicircle_contour",
     "EigenData", "SpectralExpansion", "eigen_data", "discrete_solution",
     "discrete_solution_dx", "eigenfunction_regular", "apply_expansion",
     "residual_2_4", "normalization_check",

@@ -21,7 +21,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,44 +52,21 @@ from .limits import (
 )
 from .moments import Region, moments_at, moments_boundary, moments_pv
 from .params import kernel_q_c, make_params, on_cut
-from .quadrature import integrate_weighted, make_scheme
+from .quadrature import DEFAULT_NODES, MIN_NODES, integrate_weighted, make_scheme
 from .spectrum import discrete_solution, discrete_solution_dx, normalization_check, residual_2_4
 
-DEFAULT_NODES = 200
 DEFAULT_POINTS = 401
 DEFAULT_XLIM = 4.0
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration, built before any computation starts.
-
-    Defaults: 200 quadrature nodes per half-line; 401 grid points on
-    [-4, 4] intersected with the cut; CSV to stdout.
-    """
-
-    command: str
-    nodes: int = DEFAULT_NODES
-    fmt: str = "csv"
-    out: str | None = None
-    a: float | None = None
-    x_min: float | None = None
-    x_max: float | None = None
-    points: int = DEFAULT_POINTS
-    z: complex | None = None
-
-    def __post_init__(self):
-        if self.nodes < 20:
-            raise DomainError(f"--nodes must be at least 20, got {self.nodes}")
-        if self.points < 2:
-            raise DomainError(f"--points must be at least 2, got {self.points}")
-        if self.fmt not in ("csv", "json"):
-            raise DomainError(f"--format must be csv or json, got {self.fmt}")
-
-
-def _config(args, command: str, **extra) -> RunConfig:
-    return RunConfig(command=command, nodes=args.nodes, fmt=args.format,
-                     out=args.out, a=getattr(args, "a", None), **extra)
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low`` (else exit 2)."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def _fmt(v) -> str:
@@ -119,7 +95,7 @@ def _write_json(path, payload):
 
 
 def _add_common(p):
-    p.add_argument("--nodes", type=int, default=DEFAULT_NODES,
+    p.add_argument("--nodes", type=_at_least(MIN_NODES), default=DEFAULT_NODES,
                    help=f"quadrature nodes per half-line (default {DEFAULT_NODES})")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format (default csv)")
@@ -138,22 +114,20 @@ def cmd_dispersion_curve(args, parser) -> int:
             f"x range [{xmin}, {xmax}] must lie inside the cut "
             f"(-{params.alpha}, {params.alpha})"
         )
-    cfg = _config(args, "dispersion-curve", x_min=xmin, x_max=xmax,
-                  points=args.points)
-    scheme = make_scheme(params, cfg.nodes)
-    x = np.linspace(cfg.x_min, cfg.x_max, cfg.points)
+    scheme = make_scheme(params, args.nodes)
+    x = np.linspace(xmin, xmax, args.points)
     vals = lambda_boundary(params, scheme, x, "plus")
     rows = [(xi, v.real, v.imag) for xi, v in zip(x, np.atleast_1d(vals))]
     header = ("x", "re_lambda_plus", "im_lambda_plus")
-    if cfg.fmt == "json":
-        _write_json(cfg.out, {
-            "command": cfg.command,
-            "config": {"a": cfg.a, "nodes": cfg.nodes, "points": cfg.points,
-                       "x_min": cfg.x_min, "x_max": cfg.x_max},
+    if args.format == "json":
+        _write_json(args.out, {
+            "command": args.command,
+            "config": {"a": args.a, "nodes": args.nodes, "points": args.points,
+                       "x_min": xmin, "x_max": xmax},
             "rows": [dict(zip(header, map(float, r))) for r in rows],
         })
     else:
-        _write_csv(cfg.out, header, rows)
+        _write_csv(args.out, header, rows)
     return 0
 
 
@@ -202,12 +176,12 @@ def _checks_for(params, scheme):
     # argument-principle zero counts
     try:
         if a == 0.0:
-            w = count_zeros(params, scheme, semicircle_contour(6.0, 1e-2))
+            w = count_zeros(params, scheme, semicircle_contour())
             add("zero_count_semicircle", w, 0.5, ok=(w == 0))
         else:
             for i, (hw, hh) in enumerate(((3.0, 2.0), (5.0, 3.0), (8.0, 5.0)), 1):
                 hw_eff = max(hw, params.alpha + 0.5)
-                cont = keyhole_contour(params, hw_eff, hh, margin=1e-2)
+                cont = keyhole_contour(params, hw_eff, hh)
                 w = count_zeros(params, scheme, cont)
                 add(f"zero_count_keyhole_{i}", w, 0.5, ok=(w == 0))
     except Exception as exc:  # structured error entry per the contract
@@ -272,34 +246,32 @@ def _checks_for(params, scheme):
 
 
 def cmd_spectrum_verify(args, parser) -> int:
-    cfg = _config(args, "spectrum-verify")
-    params = make_params(cfg.a)
-    scheme = make_scheme(params, cfg.nodes)
+    params = make_params(args.a)
+    scheme = make_scheme(params, args.nodes)
     checks = _checks_for(params, scheme)
     failed = [c for c in checks if c["status"] == "fail"]
     errored = [c for c in checks if c["status"] == "error"]
     payload = {
-        "command": cfg.command,
+        "command": args.command,
         "version": __version__,
-        "config": {"a": params.a, "alpha": params.alpha, "nodes": cfg.nodes,
+        "config": {"a": params.a, "alpha": params.alpha, "nodes": args.nodes,
                    "defaults": {"nodes": DEFAULT_NODES, "points": DEFAULT_POINTS,
                                 "x_grid": [-DEFAULT_XLIM, DEFAULT_XLIM]}},
         "checks": checks,
         "status": "pass" if not failed and not errored else "fail",
     }
-    _write_json(cfg.out, payload)
+    _write_json(args.out, payload)
     return 0 if payload["status"] == "pass" else 1
 
 
 def cmd_limits_compare(args, parser) -> int:
-    cfg = _config(args, "limits-compare")
     a_list = args.a_list or [0.0, 1e-6, 1e-4, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3]
     z_ref = np.array([0.5 + 0.5j, 1.0 + 1.0j, 2.0j, -1.5 + 0.8j])
     c_grid = np.array([0.3, 0.7, 1.2, 2.0])
     rows = []
     for a in a_list:
         params = make_params(a)
-        scheme = make_scheme(params, cfg.nodes)
+        scheme = make_scheme(params, args.nodes)
         lam_dev = float(np.max(np.abs(
             lambda_fn(params, scheme, z_ref) - lambda_a0(z_ref))))
         kern_dev = 0.0
@@ -310,22 +282,20 @@ def cmd_limits_compare(args, parser) -> int:
                 kern_dev = max(kern_dev, abs(got - target) / abs(target))
         rows.append((a, lam_dev, kern_dev))
     header = ("a", "lambda_a0_deviation", "fm_kernel_deviation")
-    if cfg.fmt == "json":
-        _write_json(cfg.out, {
-            "command": cfg.command,
+    if args.format == "json":
+        _write_json(args.out, {
+            "command": args.command,
             "rows": [dict(zip(header, map(float, r))) for r in rows],
         })
     else:
-        _write_csv(cfg.out, header, rows)
+        _write_csv(args.out, header, rows)
     return 0
 
 
 def cmd_fm_solve(args, parser) -> int:
-    cfg = _config(args, "fm-solve", x_min=args.x_min, x_max=args.x_max,
-                  points=args.x_points)
     sol = FreeMolecularSolution(A0=args.A0, A1=args.A1, A2=args.A2,
                                 A3=args.A3, At1=args.At1, At3=args.At3)
-    x = np.linspace(cfg.x_min, cfg.x_max, cfg.points)
+    x = np.linspace(args.x_min, args.x_max, args.x_points)
     c = np.linspace(args.c_min, args.c_max, args.c_points)
     c = c[np.abs(c) > 1e-12]  # the sign function is undefined at C = 0
     rows = []
@@ -334,9 +304,9 @@ def cmd_fm_solve(args, parser) -> int:
         rows.extend((xi, ci, hi) for ci, hi in zip(c, np.atleast_1d(h)))
     res = max(fm_residual(sol, xi) for xi in x)
     header = ("x", "C", "h")
-    if cfg.fmt == "json":
-        _write_json(cfg.out, {
-            "command": cfg.command,
+    if args.format == "json":
+        _write_json(args.out, {
+            "command": args.command,
             "config": vars_config(args),
             "decay_rate": FM_DECAY_RATE,
             "rows": [dict(zip(header, map(float, r))) for r in rows],
@@ -344,7 +314,7 @@ def cmd_fm_solve(args, parser) -> int:
         })
     else:
         rows.append(("residual_sup", "", res))
-        _write_csv(cfg.out, header, rows)
+        _write_csv(args.out, header, rows)
     return 0
 
 
@@ -354,10 +324,9 @@ def vars_config(args):
 
 
 def cmd_dispersion_eval(args, parser) -> int:
-    cfg = _config(args, "dispersion-eval", z=complex(args.z_re, args.z_im))
-    params = make_params(cfg.a)
-    scheme = make_scheme(params, cfg.nodes)
-    z = cfg.z
+    z = complex(args.z_re, args.z_im)
+    params = make_params(args.a)
+    scheme = make_scheme(params, args.nodes)
     if on_cut(params, z):
         if args.side == "pv":
             ms = moments_pv(params, scheme, z.real)
@@ -371,9 +340,9 @@ def cmd_dispersion_eval(args, parser) -> int:
         lam = complex(lam.real)  # drop the signed zero of the complex arithmetic
     header = ("z_re", "z_im", "region", "lambda_re", "lambda_im", "abs_lambda")
     row = (z.real, z.imag, region, lam.real, lam.imag, abs(lam))
-    if cfg.fmt == "json":
-        _write_json(cfg.out, {
-            "command": cfg.command,
+    if args.format == "json":
+        _write_json(args.out, {
+            "command": args.command,
             "a": params.a,
             "z": [z.real, z.imag],
             "region": region,
@@ -381,7 +350,7 @@ def cmd_dispersion_eval(args, parser) -> int:
             "t": [[t.real, t.imag] for t in ms.t],
         })
     else:
-        _write_csv(cfg.out, header, [row])
+        _write_csv(args.out, header, [row])
     return 0
 
 
@@ -400,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-min", type=float, default=None,
                    help=f"grid start (default max(-{DEFAULT_XLIM}, -alpha))")
     p.add_argument("--x-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=DEFAULT_POINTS)
+    p.add_argument("--points", type=_at_least(2), default=DEFAULT_POINTS)
     _add_common(p)
     p.set_defaults(func=cmd_dispersion_curve)
 
@@ -422,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", type=float, default=0.0)
     p.add_argument("--x-min", type=float, default=0.0)
     p.add_argument("--x-max", type=float, default=2.0)
-    p.add_argument("--x-points", type=int, default=5)
+    p.add_argument("--x-points", type=_at_least(2), default=5)
     p.add_argument("--c-min", type=float, default=-3.0)
     p.add_argument("--c-max", type=float, default=3.0)
     p.add_argument("--c-points", type=int, default=13)

@@ -29,7 +29,7 @@ from .errors import DomainError, EvaluationError, IllConditionedContourError
 from .moments import (
     MomentSet,
     Region,
-    moments_pv,
+    boundary_jump_array,
     tn_boundary_array,
     tn_offcut_array,
     tn_pv_array,
@@ -84,15 +84,12 @@ def _cofactors(matrix: np.ndarray, c) -> np.ndarray:
 def _q_tilde(params: GasParams, cof, c_mu):
     """Q~ = r0 L0 + r1 C(mu) L1 + r2 (C(mu)**2 - beta)(L2 - beta L0).
 
-    ``cof`` holds L0, L1, L2 on its first axis.  ``c_mu**2`` is exact for
-    an ndarray but goes through ``pow`` for a Python float, which can
-    differ from ``c_mu * c_mu`` in the last bit: :func:`q_tilde` passes a
-    float, the spectrum module passes arrays.
+    ``cof`` holds L0, L1, L2 on its first axis.
     """
     return (
         params.r0 * cof[0]
         + params.r1 * c_mu * cof[1]
-        + params.r2 * (c_mu**2 - params.beta) * (cof[2] - params.beta * cof[0])
+        + params.r2 * (c_mu * c_mu - params.beta) * (cof[2] - params.beta * cof[0])
     )
 
 
@@ -100,9 +97,12 @@ def lambda_fn(params: GasParams, scheme: QuadratureScheme, z):
     """Dispersion function lambda(z) = det(matrix) for z off the cut.
 
     Accepts scalars or arrays.  The determinant is evaluated directly from
-    the assembled 3x3 matrix.
+    the assembled 3x3 matrix.  Points that are not finite raise
+    DomainError.
     """
     z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise DomainError("point not finite: lambda is defined at finite z only")
     if np.any(on_cut(params, z)):
         raise DomainError(
             "point on the cut: use lambda_pv or lambda_boundary for tagged values"
@@ -178,11 +178,13 @@ class SokhotskyJump:
 def sokhotsky_jump(params: GasParams, scheme: QuadratureScheme, x: float) -> SokhotskyJump:
     """Boundary values of lambda on the cut and their jump diagnostics."""
     x = float(x)
-    lp = complex(lambda_boundary(params, scheme, x, "plus"))
-    lm = complex(lambda_boundary(params, scheme, x, "minus"))
-    pv_moments = moments_pv(params, scheme, x)
-    qt = q_tilde(params, pv_moments, x, x)
+    t_pv = tn_pv_array(params, x).astype(complex)
+    half_jump = boundary_jump_array(params, x)
+    lp = complex(_det3(_assemble(params, t_pv + half_jump)))
+    lm = complex(_det3(_assemble(params, t_pv - half_jump)))
+    m_pv = _assemble(params, t_pv)
     c = velocity_map(params, x)
+    qt = float(_q_tilde(params, _cofactors(m_pv, c), c).real)
     rho = float(rho_of_c(params, np.asarray(c)))
     claimed = 2j * math.pi * rho * qt
     jump = lp - lm
@@ -195,7 +197,7 @@ def sokhotsky_jump(params: GasParams, scheme: QuadratureScheme, x: float) -> Sok
         claimed_jump=claimed,
         ratio=ratio,
         average=0.5 * (lp + lm),
-        pv=float(lambda_pv(params, scheme, x)),
+        pv=float(_det3(m_pv).real),
     )
 
 
@@ -224,14 +226,14 @@ def winding_number(values: np.ndarray) -> float:
     return (phase[-1] - phase[0]) / (2.0 * math.pi)
 
 
-def count_zeros(params: GasParams, scheme: QuadratureScheme, contour,
-                min_samples: int = 4096, max_refinements: int = 5) -> int:
+def count_zeros(params: GasParams, scheme: QuadratureScheme, contour) -> int:
     """Number of zeros of lambda enclosed by a closed polyline contour.
 
     The contour must avoid the cut; lambda is sampled densely along it and
     the winding number of the image curve is tracked with continuous
-    argument unwrapping, refining the sampling until the integer is stable
-    and every step turns by less than half a radian.
+    argument unwrapping, from 4096 samples up, doubling the sampling (at
+    most five levels) until the integer is stable and every step turns by
+    less than half a radian.
 
     Raises
     ------
@@ -244,8 +246,8 @@ def count_zeros(params: GasParams, scheme: QuadratureScheme, contour,
         raise IllConditionedContourError("contour touches the spectral cut")
 
     prev = None
-    samples = min_samples
-    for _ in range(max_refinements):
+    samples = 4096
+    for _ in range(5):
         pts = _sample_polyline(v, samples)
         vals = lambda_fn(params, scheme, pts)
         if np.min(np.abs(vals)) < 1e-8:
@@ -263,22 +265,21 @@ def count_zeros(params: GasParams, scheme: QuadratureScheme, contour,
 
 
 def keyhole_contour(params: GasParams, half_width: float = 3.0,
-                    half_height: float = 2.0, margin: float = 1e-2,
-                    cap_points: int = 24) -> np.ndarray:
-    """Boundary of the rectangle minus a margin-neighbourhood of the cut.
+                    half_height: float = 2.0) -> np.ndarray:
+    """Boundary of the rectangle minus a 1e-2 neighbourhood of the cut.
 
     A single closed polyline: the outer rectangle traversed
     counterclockwise, joined through a doubly-traversed corridor along the
     real axis (off the cut, where lambda is real and analytic) to the
     stadium around the cut traversed clockwise.  Zero enclosed zeros means
-    the winding vanishes.  Requires a > 0 and half_width > alpha + margin.
+    the winding vanishes.  Requires a > 0 and half_width > alpha + 2e-2.
     """
     alpha = params.alpha
     if not math.isfinite(alpha):
         raise DomainError("keyhole contour needs a finite cut (a > 0)")
-    if half_width <= alpha + 2 * margin:
+    d, cap_points = 1e-2, 24
+    if half_width <= alpha + 2 * d:
         raise DomainError("rectangle too narrow to clear the cut")
-    d = margin
     w, h = half_width, half_height
     # stadium around the cut, counterclockwise, starting/ending at (-alpha-d, 0)
     th_l = np.linspace(math.pi, 1.5 * math.pi, cap_points)
@@ -306,31 +307,25 @@ def keyhole_contour(params: GasParams, half_width: float = 3.0,
     )
 
 
-def semicircle_contour(radius: float = 6.0, base_im: float = 1e-2,
-                       arc_points: int = 64) -> np.ndarray:
-    """Closed upper-half-plane contour: base just above the axis plus an arc."""
-    th = np.linspace(0.0, math.pi, arc_points)
+def semicircle_contour() -> np.ndarray:
+    """Closed upper-half-plane contour: a radius-6 half-circle, 64 arc points,
+    on a base 1e-2 above the real axis."""
+    radius, base_im = 6.0, 1e-2
+    th = np.linspace(0.0, math.pi, 64)
     arc = radius * np.exp(1j * th) + 1j * base_im
     return np.concatenate([np.array([-radius + 1j * base_im]), arc])
 
 
-def circle_contour(center: complex, radius: float, n: int = 64) -> np.ndarray:
-    """Closed circular polyline."""
-    th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return center + radius * np.exp(1j * th)
-
-
-def laurent_order_at_infinity(params: GasParams, scheme: QuadratureScheme,
-                              radii=None, n_angles: int = 8):
+def laurent_order_at_infinity(params: GasParams, scheme: QuadratureScheme):
     """Order and leading coefficient of the zero of lambda at infinity.
 
     Fits ``lambda ~ c / z**k`` by log-log regression of the angular mean
-    of |lambda| over the given radii (angles keep clear of the real axis).
+    of |lambda| over three radii at 8 angles (clear of the real axis).
     The coefficient is the angular mean of ``z**k lambda(z)`` at the
     largest radius; with the angles equally spaced over the upper
     half-circle the subleading Laurent terms average out to O(R**-2n).
 
-    Default radii are {10, 20, 40}, scaled up when the cut half-width
+    The radii are {10, 20, 40}, scaled up when the cut half-width
     exceeds unity so the fit stays in the asymptotic regime.
 
     Returns
@@ -342,11 +337,9 @@ def laurent_order_at_infinity(params: GasParams, scheme: QuadratureScheme,
     EvaluationError
         If the fitted order is not close to an integer.
     """
-    if radii is None:
-        scale = max(1.0, params.alpha) if math.isfinite(params.alpha) else 1.0
-        radii = (10.0 * scale, 20.0 * scale, 40.0 * scale)
-    radii = np.asarray(sorted(radii), dtype=float)
-    th = math.pi * (np.arange(n_angles) + 0.5) / n_angles
+    scale = max(1.0, params.alpha) if math.isfinite(params.alpha) else 1.0
+    radii = np.array([10.0, 20.0, 40.0]) * scale
+    th = math.pi * (np.arange(8) + 0.5) / 8
     ring = np.exp(1j * th)
     log_r, log_mag = [], []
     for r in radii:

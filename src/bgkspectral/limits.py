@@ -77,19 +77,20 @@ def lambda_c_boundary(x, side: str):
     return complex(v) if np.ndim(v) == 0 else v
 
 
-def lambda_c_stable(z, n_nodes: int = 96):
+def lambda_c_stable(z):
     """Finite-interval evaluation of lambda_C, for cross-checking.
 
     lambda_C(z) = 1 - 2 z**2 int_0^1 exp(-z**2 (1 - t**2)) dt
                   + sign(Im z) * i sqrt(pi) z exp(-z**2)
 
-    Accurate for moderate |z| (growth of the integrand limits it to
-    roughly |z| <= 6); the Faddeeva route is the production path.
+    The integral uses 96 Gauss-Legendre nodes.  Accurate for moderate |z|
+    (growth of the integrand limits it to roughly |z| <= 6); the Faddeeva
+    route is the production path.
     """
     z = complex(z)
     if z.imag == 0.0:
         raise DomainError("real axis: use lambda_c_boundary / lambda_c_pv")
-    t, w = roots_legendre(n_nodes)
+    t, w = roots_legendre(96)
     t = 0.5 * (t + 1.0)
     w = 0.5 * w
     integral = np.sum(w * np.exp(-z * z * (1.0 - t * t)))
@@ -199,20 +200,21 @@ def fm_project_system() -> np.ndarray:
 
 @dataclass(frozen=True)
 class FreeMolecularSolution:
-    """Coefficients of the six-mode general solution plus derived data.
+    """Coefficients of the six-mode general solution.
 
-    Mode roles (coefficient -> mode of the derived generator):
+    Mode roles (coefficient -> mode of the derived generator
+    :func:`fm_project_system`, tabulated by :func:`fm_modes`):
 
-    - ``A0``  : decaying exponential  exp(-decay_rate * x)
+    - ``A0``  : decaying exponential  exp(-FM_DECAY_RATE * x)
     - ``A1``  : constant mode in the ``1`` component
     - ``A2``  : constant mode in the ``C`` component
     - ``A3``  : constant mode in the ``C**2 - 1`` component
     - ``At1`` : the linear-in-x Jordan mode (couples the 1- and
       (C**2-1)-components with their sgn partners)
-    - ``At3`` : growing exponential  exp(+decay_rate * x), the sixth
+    - ``At3`` : growing exponential  exp(+FM_DECAY_RATE * x), the sixth
       independent solution of the derived system
 
-    ``decay_rate`` is sqrt(5*pi)/4, the derived value; the quoted
+    ``FM_DECAY_RATE`` is sqrt(5*pi)/4, the derived value; the quoted
     literature rate sqrt(3*pi)/2 does not solve the kinetic equation (see
     DERIVATION_NOTES.md).
     """
@@ -223,12 +225,6 @@ class FreeMolecularSolution:
     A3: float = 0.0
     At1: float = 0.0
     At3: float = 0.0
-    decay_rate: float = FM_DECAY_RATE
-    system_matrix: np.ndarray = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.system_matrix is None:
-            object.__setattr__(self, "system_matrix", fm_project_system())
 
 
 @lru_cache(maxsize=1)
@@ -344,16 +340,15 @@ def fm_collision(sol_values_fn, x):
     return k0, k1, k2
 
 
-def fm_residual(sol: FreeMolecularSolution, x: float, c_grid=None) -> float:
+def fm_residual(sol: FreeMolecularSolution, x: float) -> float:
     """Sup-norm residual of the solution in the free-molecular equation.
 
-    |sgn(C) dh/dx + h - int exp(-C'**2)|C'| q1(C, C') h(x, C') dC'| over a
-    speed grid, with the analytic x-derivative.
+    |sgn(C) dh/dx + h - int exp(-C'**2)|C'| q1(C, C') h(x, C') dC'| over 32
+    speeds in [0.1, 3.5] and their negatives, with the analytic
+    x-derivative.
     """
-    if c_grid is None:
-        g = np.linspace(0.1, 3.5, 32)
-        c_grid = np.concatenate([-g[::-1], g])
-    c_grid = np.asarray(c_grid, dtype=float)
+    g = np.linspace(0.1, 3.5, 32)
+    c_grid = np.concatenate([-g[::-1], g])
     x = float(x)
 
     h_val = fm_general_solution(sol, x, c_grid)

@@ -33,6 +33,7 @@ needs no coordination.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -229,8 +230,9 @@ def tn_pv_array(params: GasParams, x) -> np.ndarray:
     """Principal-value t0..t4 at real cut points; shape (5,) + x.shape, real."""
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
-    if np.any(ax >= params.alpha):
-        raise DomainError(f"cut point outside (-{params.alpha}, {params.alpha})")
+    if not np.all(ax < params.alpha):  # NaN fails the comparison too
+        raise DomainError(
+            f"cut point must be a number inside (-{params.alpha}, {params.alpha})")
     out = np.where(ax > 0.0, _tn_halflines(params.a, ax), 0.0)
     # parity t_n(-x) = (-1)**n t_n(x)
     out[1::2] *= np.where(x < 0, -1.0, 1.0)
@@ -262,11 +264,15 @@ def moments_at(params: GasParams, scheme: QuadratureScheme, z) -> MomentSet:
 
     Raises
     ------
+    DomainError
+        If ``z`` is not finite.
     WrongRegionError
         If ``z`` lies on the cut; use :func:`moments_pv` /
         :func:`moments_boundary` there.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"point {z} is not finite")
     if on_cut(params, z):
         raise WrongRegionError(
             "point lies on the spectral cut; use moments_pv or moments_boundary"
@@ -277,8 +283,8 @@ def moments_at(params: GasParams, scheme: QuadratureScheme, z) -> MomentSet:
 def moments_pv(params: GasParams, scheme: QuadratureScheme, x: float) -> MomentSet:
     """Principal-value moment set at a real point inside the cut."""
     x = float(x)
-    if abs(x) >= params.alpha:
-        raise DomainError(f"PV point must satisfy |x| < {params.alpha}")
+    if not abs(x) < params.alpha:
+        raise DomainError(f"PV point must be a number with |x| < {params.alpha}")
     t = tn_pv_array(params, np.asarray(x)).astype(complex)
     return MomentSet(point=complex(x), region=Region.ON_CUT_PV, t=t)
 
@@ -287,20 +293,20 @@ def moments_boundary(params: GasParams, scheme: QuadratureScheme, x: float,
                      side: str) -> MomentSet:
     """Boundary values t_n(x +- i0) = t_n^PV(x) +- i*pi*x*C(x)**n*rho(x)."""
     x = float(x)
-    if abs(x) >= params.alpha:
-        raise DomainError(f"boundary point must satisfy |x| < {params.alpha}")
+    if not abs(x) < params.alpha:
+        raise DomainError(f"boundary point must be a number with |x| < {params.alpha}")
     region = Region.BOUNDARY_PLUS if side_sign(side) > 0 else Region.BOUNDARY_MINUS
     t = tn_boundary_array(params, x, side)
     return MomentSet(point=complex(x), region=region, t=t)
 
 
-def asymptotic_moments(params: GasParams, n_max: int = 6) -> np.ndarray:
-    """The C-moments m_n = int w(C) C**n dC, n = 0..n_max (odd ones vanish).
+def asymptotic_moments(params: GasParams) -> np.ndarray:
+    """The C-moments m_n = int w(C) C**n dC, n = 0..6 (odd ones vanish).
 
     These are the leading coefficients of the large-|z| expansion
     t_n(z) -> -m_n; m_{2k} = Gamma(k + 1/2) + a * k!.
     """
-    m = np.zeros(n_max + 1)
-    for k in range(0, n_max + 1, 2):
+    m = np.zeros(7)
+    for k in range(0, 7, 2):
         m[k] = float(gamma((k + 1) / 2)) + params.a * math.factorial(k // 2)
     return m

@@ -28,6 +28,11 @@ from .params import GasParams, mu_of, velocity_map
 #: panel edges of the half-line rule before scaling to the node budget
 _PANEL_EDGES = (0.0, 0.6, 1.2, 1.8, 2.4, 3.0, 3.6, 4.4, 5.4, 6.8, 8.6)
 
+#: default node count per half-line (the CLI's ``--nodes``)
+DEFAULT_NODES = 200
+#: smallest node count the panel layout accepts
+MIN_NODES = 20
+
 
 @dataclass(frozen=True)
 class QuadratureScheme:
@@ -37,7 +42,9 @@ class QuadratureScheme:
     ----------
     params : GasParams
     n : int
-        Node count per half-line (the ``--nodes`` knob; default 200).
+        Node count per half-line actually used: the requested count rounded
+        to a whole number of nodes on each of the ten panels, at least 4 a
+        panel (so 20 and 40 both give 40).
     nodes : ndarray
         Strictly positive half-line nodes.
     weights_weighted : ndarray
@@ -56,21 +63,23 @@ class QuadratureScheme:
     weights_gauss: np.ndarray = field(repr=False)
 
 
-def make_scheme(params: GasParams, n: int = 200) -> QuadratureScheme:
+def _legendre_panels(edges, n_per: int):
+    """Gauss-Legendre nodes/weights with ``n_per`` nodes on each panel between
+    consecutive ``edges``."""
+    edges = np.asarray(edges, dtype=float)
+    x01, w01 = roots_legendre(n_per)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = edges[:-1, None] + half[:, None] * (x01 + 1.0)
+    return nodes.ravel(), (half[:, None] * w01).ravel()
+
+
+def make_scheme(params: GasParams, n: int = DEFAULT_NODES) -> QuadratureScheme:
     """Build the weighted half-line rule with ``n`` nodes per half-line."""
-    if n < 20:
+    if n < MIN_NODES:
         raise DomainError(f"node count too small for the panel layout: {n}")
-    edges = np.asarray(_PANEL_EDGES)
-    n_panels = len(edges) - 1
+    n_panels = len(_PANEL_EDGES) - 1
     per = max(4, int(round(n / n_panels)))
-    x01, w01 = roots_legendre(per)
-    nodes, wts = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(lo + half * (x01 + 1.0))
-        wts.append(half * w01)
-    c = np.concatenate(nodes)
-    bare = np.concatenate(wts)
+    c, bare = _legendre_panels(_PANEL_EDGES, per)
     gauss = bare * np.exp(-c * c)
     weighted = gauss * (1.0 + params.a * c)
     return QuadratureScheme(
@@ -158,37 +167,31 @@ def gauss_panels(lo: float, hi: float, breakpoints=(), n_panels: int = 12,
     """Gauss-Legendre nodes/weights on [lo, hi] split at the breakpoints."""
     pts = [lo, hi] + [b for b in breakpoints if lo < b < hi]
     pts = np.unique(np.asarray(pts, dtype=float))
-    x01, w01 = roots_legendre(n_per)
-    nodes, wts = [], []
     total = hi - lo
-    for a, b in zip(pts[:-1], pts[1:]):
-        k = max(2, int(np.ceil(n_panels * (b - a) / total)))
-        edges = np.linspace(a, b, k + 1)
-        for e0, e1 in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (e1 - e0)
-            nodes.append(e0 + half * (x01 + 1.0))
-            wts.append(half * w01)
-    return np.concatenate(nodes), np.concatenate(wts)
+    edges = [
+        np.linspace(a, b, max(2, int(np.ceil(n_panels * (b - a) / total))) + 1)[:-1]
+        for a, b in zip(pts[:-1], pts[1:])
+    ]
+    return _legendre_panels(np.append(np.concatenate(edges), pts[-1]), n_per)
 
 
-def pv_interval(f, lo: float, hi: float, pole: float, breakpoints=(),
-                n_panels: int = 16, n_per: int = 16):
+def pv_interval(f, lo: float, hi: float, pole: float, n_panels: int = 16):
     """Principal value of ``int_lo^hi f(eta) / (eta - pole) d(eta)``.
 
     Uses subtraction on the finite interval: the regular part
     ``(f(eta) - f(pole)) / (eta - pole)`` is integrated with panel
-    Gauss-Legendre rules (split at the pole and at any breakpoints), and
-    the subtracted constant contributes ``f(pole) * log((hi-pole)/(pole-lo))``
+    Gauss-Legendre rules (16 nodes a panel, split at the pole), and the
+    subtracted constant contributes ``f(pole) * log((hi-pole)/(pole-lo))``
     exactly.  If the pole lies outside ``[lo, hi]`` the integral is
     ordinary and is computed directly.  ``f`` must accept ndarrays.
     """
     if hi <= lo:
         raise DomainError("empty integration interval")
     if not (lo < pole < hi):
-        nodes, wts = gauss_panels(lo, hi, breakpoints, n_panels, n_per)
+        nodes, wts = gauss_panels(lo, hi, (), n_panels)
         return np.sum(wts * np.asarray(f(nodes)) / (nodes - pole))
 
-    nodes, wts = gauss_panels(lo, hi, tuple(breakpoints) + (pole,), n_panels, n_per)
+    nodes, wts = gauss_panels(lo, hi, (pole,), n_panels)
     fp = np.asarray(f(np.array([pole]))).ravel()[0]
     vals = (np.asarray(f(nodes)) - fp) / (nodes - pole)
     return np.sum(wts * vals) + fp * np.log((hi - pole) / (pole - lo))

@@ -66,9 +66,11 @@ def discrete_solution_dx(params: GasParams, k: int, x, mu):
 class EigenData:
     """Boundary data of the dispersion machinery at one cut point eta.
 
-    ``g`` is the overall normalization freedom of the eigenfunction (the
-    homogeneous equation fixes it only up to scale); the shipped default
-    is 1.
+    ``lambda_pv`` is the PV determinant, ``cofactors`` the PV
+    replaced-column determinants L0, L1, L2, and ``rho`` and ``c_eta`` the
+    weight and speed at ``eta``.  The eigenfunctions built from these data
+    carry unit normalization (the homogeneous equation fixes them only up
+    to scale).
     """
 
     eta: float
@@ -76,38 +78,31 @@ class EigenData:
     cofactors: np.ndarray
     rho: float
     c_eta: float
-    g: float = 1.0
-
-
-def _c_array(params: GasParams, mu) -> np.ndarray:
-    """C(mu) as an ndarray, so that :func:`_q_tilde` squares it exactly."""
-    return np.asarray(velocity_map(params, mu), dtype=float)
 
 
 def _eigen_arrays(params: GasParams, eta):
     """PV determinant, PV cofactors, rho and C at cut points ``eta``, vectorized."""
     eta = np.asarray(eta, dtype=float)
     m = _assemble(params, tn_pv_array(params, eta).astype(complex))
-    c = _c_array(params, eta)
+    c = velocity_map(params, eta)
     return _det3(m).real, _cofactors(m, c).real, rho_of_c(params, c), c
 
 
-def eigen_data(params: GasParams, scheme: QuadratureScheme, eta: float,
-               g: float = 1.0) -> EigenData:
+def eigen_data(params: GasParams, scheme: QuadratureScheme, eta: float) -> EigenData:
     """Collect rho, C, PV cofactors and PV determinant at ``eta``."""
     eta = float(eta)
     det, cof, rho, c = _eigen_arrays(params, eta)
     return EigenData(eta=eta, lambda_pv=float(det), cofactors=cof, rho=float(rho),
-                     c_eta=float(c), g=float(g))
+                     c_eta=float(c))
 
 
 def eigenfunction_regular(params: GasParams, scheme: QuadratureScheme,
-                          eta: float, mu: float, g: float = 1.0):
+                          eta: float, mu: float):
     """Regular (principal-value) part of the continuum eigenfunction.
 
-    Value of ``g * eta * Q~(eta, mu) * rho(eta) / (lambda_pv(eta) * (eta - mu))``;
+    Value of ``eta * Q~(eta, mu) * rho(eta) / (lambda_pv(eta) * (eta - mu))``;
     the full eigenfunction additionally carries the delta contribution
-    ``g * delta(eta - mu)``, applied distributionally by
+    ``delta(eta - mu)``, applied distributionally by
     :func:`apply_expansion`.
 
     Raises
@@ -118,9 +113,9 @@ def eigenfunction_regular(params: GasParams, scheme: QuadratureScheme,
     eta, mu = float(eta), float(mu)
     if abs(eta - mu) < 1e-12:
         raise DomainError("eta == mu is the singular point of the eigenfunction")
-    data = eigen_data(params, scheme, eta, g=g)
-    qt = float(_q_tilde(params, data.cofactors, _c_array(params, mu)))
-    return data.g * eta * qt * data.rho / (data.lambda_pv * (eta - mu))
+    data = eigen_data(params, scheme, eta)
+    qt = float(_q_tilde(params, data.cofactors, velocity_map(params, mu)))
+    return eta * qt * data.rho / (data.lambda_pv * (eta - mu))
 
 
 @dataclass
@@ -201,7 +196,7 @@ def apply_expansion(params: GasParams, scheme: QuadratureScheme,
             out += coeff * float(np.asarray(hk))
 
     lo, hi = expansion.eta_grid[0], expansion.eta_grid[-1]
-    c_mu = _c_array(params, mu)
+    c_mu = velocity_map(params, mu)
 
     def integrand(eta):
         det, cof, rho_eta, _ = _eigen_arrays(params, eta)
@@ -224,18 +219,16 @@ def apply_expansion(params: GasParams, scheme: QuadratureScheme,
 
 
 def residual_2_4(params: GasParams, scheme: QuadratureScheme, h, x: float,
-                 dh_dx=None, mu_grid=None, fd_step: float = 1e-5) -> float:
+                 dh_dx=None) -> float:
     """Sup-norm residual of a candidate solution in the transport equation.
 
     ``h(x, mu)`` must be vectorized over ``mu``.  The x-derivative is
-    taken by central differences with step ``fd_step`` unless an analytic
-    ``dh_dx(x, mu)`` is supplied.  The default test grid is the image of
-    64 uniformly spaced speeds, which keeps it strictly inside the cut
-    for every slope.
+    taken by central differences with step 1e-5 unless an analytic
+    ``dh_dx(x, mu)`` is supplied.  The test grid is the image of 64
+    uniformly spaced speeds in [-3.5, 3.5], which keeps it strictly
+    inside the cut for every slope.
     """
-    if mu_grid is None:
-        mu_grid = mu_of(params, np.linspace(-3.5, 3.5, 64))
-    mu_grid = np.asarray(mu_grid, dtype=float)
+    mu_grid = mu_of(params, np.linspace(-3.5, 3.5, 64))
     c_grid = np.asarray(velocity_map(params, mu_grid), dtype=float)
 
     # collision integral via the factorized kernel: three h-moments suffice
@@ -261,6 +254,7 @@ def residual_2_4(params: GasParams, scheme: QuadratureScheme, h, x: float,
     if dh_dx is not None:
         dh = np.asarray(dh_dx(x, mu_grid), dtype=float)
     else:
+        fd_step = 1e-5
         dh = (
             np.asarray(h(x + fd_step, mu_grid), dtype=float)
             - np.asarray(h(x - fd_step, mu_grid), dtype=float)
@@ -290,11 +284,11 @@ def normalization_check(params: GasParams, scheme: QuadratureScheme,
     for a_idx in range(3):
         def f(c, a_idx=a_idx):
             mu = mu_of(params, c)
-            return -_q_tilde(params, data.cofactors, _c_array(params, mu)) * c**a_idx
+            return -_q_tilde(params, data.cofactors, velocity_map(params, mu)) * c**a_idx
 
         # PV int Q~ C^a rho/(eta-mu) dmu  ==  -PV int w(C) f.../(mu(C)-eta) dC
         pv_part = prefactor * integrate_pv(scheme, f, eta)
-        direct = pv_part + data.rho * data.c_eta**a_idx * data.g
+        direct = pv_part + data.rho * data.c_eta**a_idx
         closed = data.rho * data.cofactors[a_idx] / data.lambda_pv
         deviations[a_idx] = abs(direct - closed)
     return deviations

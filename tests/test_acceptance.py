@@ -114,10 +114,10 @@ def test_criterion_05_zero_counts(model):
     for a in (0.5, 1.0, 2.0):
         p, s = model[a]
         for hw, hh in ((3.0, 2.0), (5.0, 3.0), (8.0, 5.0)):
-            cont = keyhole_contour(p, max(hw, p.alpha + 0.5), hh, margin=1e-2)
+            cont = keyhole_contour(p, max(hw, p.alpha + 0.5), hh)
             counts.append(count_zeros(p, s, cont))
     p0, s0 = model[0.0]
-    counts.append(count_zeros(p0, s0, semicircle_contour(6.0, 1e-2)))
+    counts.append(count_zeros(p0, s0, semicircle_contour()))
     ok = all(c == 0 for c in counts)
     report(5, ok, f"argument-principle windings {counts} all zero "
            "(3 nested keyholes x a in {0.5,1,2} + a=0 semicircle)")

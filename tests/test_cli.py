@@ -210,6 +210,34 @@ class TestDispersionEval:
         assert len(rep["t"]) == 5
 
 
+#: one too-small value per bounded count option; fm-solve never builds a
+#: quadrature scheme but still rejects --nodes below the minimum
+BELOW_MINIMUM = [
+    ["dispersion-curve", "--nodes", "19"],
+    ["spectrum-verify", "--nodes", "19"],
+    ["limits-compare", "--nodes", "19"],
+    ["fm-solve", "--nodes", "19"],
+    ["dispersion-eval", "--z-re", "0.3", "--nodes", "19"],
+    ["dispersion-curve", "--points", "1"],
+    ["fm-solve", "--x-points", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", BELOW_MINIMUM, ids=" ".join)
+def test_count_below_minimum_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_count_at_minimum_is_accepted(capsys):
+    for argv in (["dispersion-eval", "--z-re", "0.3", "--nodes", "20"],
+                 ["dispersion-curve", "--a", "1", "--points", "2"],
+                 ["fm-solve", "--nodes", "20", "--x-points", "2"]):
+        assert run_cli(capsys, *argv)[0] == 0
+
+
 #: the README's five example commands and the sha256 of each one's output
 #: file.  Any change to these bytes, a last-bit rounding change included,
 #: must be a deliberate re-pin, here and in perfbench/workloads.py.

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import dawsn, gamma
+from scipy.special import dawsn, gamma, roots_legendre
 
 from bgkspectral import DomainError, make_params
 from bgkspectral.quadrature import (
+    _PANEL_EDGES,
+    gauss_panels,
     integrate_pv,
     integrate_weighted,
     make_scheme,
@@ -171,3 +173,42 @@ class TestIntervalPV:
     def test_empty_interval_rejected(self):
         with pytest.raises(DomainError):
             pv_interval(lambda e: e, 1.0, 1.0, 0.5)
+
+
+def loop_panels(edges, n_per):
+    """Reference panel builder: one Gauss-Legendre panel at a time."""
+    x01, w01 = roots_legendre(n_per)
+    nodes, wts = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        nodes.append(lo + half * (x01 + 1.0))
+        wts.append(half * w01)
+    return np.concatenate(nodes), np.concatenate(wts)
+
+
+class TestPanelRules:
+    """The vectorized panel builder does the loop's arithmetic: equal bits."""
+
+    @pytest.mark.parametrize("n", [20, 40, 100, 200, 400])
+    def test_scheme_matches_loop(self, n):
+        s = make_scheme(make_params(1.0), n)
+        nodes, bare = loop_panels(np.asarray(_PANEL_EDGES), s.n // 10)
+        assert np.array_equal(s.nodes, nodes)
+        assert np.array_equal(s.weights_gauss, bare * np.exp(-nodes * nodes))
+
+    @pytest.mark.parametrize("lo, hi, breaks, n_panels, n_per", [
+        (0.0, 8.6, (), 10, 20),
+        (-1.0, 1.0, (0.3,), 16, 16),
+        (-1.0, 2.0, (0.3, -0.5, 1.7), 20, 16),
+    ])
+    def test_gauss_panels_match_loop(self, lo, hi, breaks, n_panels, n_per):
+        pts = np.unique([lo, hi] + [b for b in breaks if lo < b < hi])
+        ref_n, ref_w = [], []
+        for a, b in zip(pts[:-1], pts[1:]):
+            k = max(2, int(np.ceil(n_panels * (b - a) / (hi - lo))))
+            n, w = loop_panels(np.linspace(a, b, k + 1), n_per)
+            ref_n.append(n)
+            ref_w.append(w)
+        nodes, wts = gauss_panels(lo, hi, breaks, n_panels, n_per)
+        assert np.array_equal(nodes, np.concatenate(ref_n))
+        assert np.array_equal(wts, np.concatenate(ref_w))

@@ -124,12 +124,6 @@ class TestEigenfunctionRegular:
             assert np.sign(up) == -np.sign(dn)
             assert abs(up) > 1.0 / (10 * d)
 
-    def test_g_scaling(self, model):
-        p, s = model[1.0]
-        v1 = eigenfunction_regular(p, s, 0.2, 0.5, g=1.0)
-        v2 = eigenfunction_regular(p, s, 0.2, 0.5, g=2.0)
-        assert v2 == pytest.approx(2.0 * v1, rel=1e-14)
-
     def test_a0_reduction(self, model):
         # rescaled by exp(eta^2) lambda_pv(eta), the regular part becomes
         # eta (3/2 - mu^2) / (sqrt(pi) (eta - mu))
