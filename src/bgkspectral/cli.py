@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -67,6 +68,14 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     return integer
+
+
+def _finite(text):
+    """argparse type: a finite float (else exit 2)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
 
 
 def _fmt(v) -> str:
@@ -388,13 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fm-solve",
                        help="free-molecular general solution on a grid")
     for name in ("A0", "A1", "A2", "A3", "At1", "At3"):
-        p.add_argument(f"--{name}", type=float, default=0.0)
-    p.add_argument("--x-min", type=float, default=0.0)
-    p.add_argument("--x-max", type=float, default=2.0)
+        p.add_argument(f"--{name}", type=_finite, default=0.0)
+    p.add_argument("--x-min", type=_finite, default=0.0)
+    p.add_argument("--x-max", type=_finite, default=2.0)
     p.add_argument("--x-points", type=_at_least(2), default=5)
-    p.add_argument("--c-min", type=float, default=-3.0)
-    p.add_argument("--c-max", type=float, default=3.0)
-    p.add_argument("--c-points", type=int, default=13)
+    p.add_argument("--c-min", type=_finite, default=-3.0)
+    p.add_argument("--c-max", type=_finite, default=3.0)
+    p.add_argument("--c-points", type=_at_least(2), default=13)
     _add_common(p)
     p.set_defaults(func=cmd_fm_solve)
 

@@ -22,10 +22,11 @@ half-line Gaussian moments plus the single special function
 which is evaluated through the Faddeeva function and the exponential
 integral.  The construction is uniformly accurate for any distance to
 the cut (the fixed quadrature rule, by contrast, loses all digits within
-O(1) of it); an asymptotic moment series takes over when the factorized
-pole ``Z`` is large.  Direct quadrature of the moments serves only as a
-test oracle far from the cut (``quadrature_moments`` in
-``tests/conftest.py``).
+O(1) of it).  Synthetic division cancels more as |Z| grows, so from
+|Z| = 8 on a point sums the asymptotic moment series of the n = 4 piece to
+its own smallest term and gets n = 3..0 by an exact downward recurrence.
+Direct quadrature of the moments serves only as a test oracle far from
+the cut (``quadrature_moments`` in ``tests/conftest.py``).
 
 Everything here is a pure function of immutable inputs; concurrent use
 needs no coordination.
@@ -50,7 +51,8 @@ SQRT_PI = math.sqrt(math.pi)
 #: half-line Gaussian moments  int_0^inf t**k exp(-t**2) dt = Gamma((k+1)/2)/2
 _HALF_MOMENTS = np.array([float(gamma((k + 1) / 2)) / 2.0 for k in range(176)])
 
-#: |Z| beyond which the Cauchy transform switches to its moment series
+#: |Z| from which a half-line transform takes the moment series and the
+#: downward recurrence instead of Phi and synthetic division
 _SERIES_RADIUS = 8.0
 
 
@@ -84,107 +86,105 @@ class MomentSet:
 # special-function kernel
 # ---------------------------------------------------------------------------
 
-def _cauchy_gauss_full(z):
-    """int_R exp(-t**2)/(t - z) dt; principal value for real z."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    up = z.imag > 0
-    dn = z.imag < 0
-    re = ~(up | dn)
-    out[up] = 1j * math.pi * wofz(z[up])
-    out[dn] = -1j * math.pi * wofz(-z[dn])
-    out[re] = -2.0 * SQRT_PI * dawsn(z[re].real)
-    return out
-
-
-def _laguerre_tail(s):
-    """int_0^inf exp(-u)/(u - s) du for |s| >= 40, by the moment series."""
-    s = np.asarray(s, dtype=complex)
-    tot = np.zeros_like(s)
-    term = -1.0 / s
-    for k in range(80):
-        tot += term
-        term = term * (k + 1) / s
-        if np.max(np.abs(term)) < 1e-22 * max(np.max(np.abs(tot)), 1e-300):
-            break
-    return tot
-
-
-def _cauchy_exp_halfline(z):
-    """int_0^inf exp(-u)/(u - s) du at s = z**2; principal value for real z."""
-    z = np.asarray(z, dtype=complex)
-    s = z * z
-    out = np.empty_like(s)
-    big = np.abs(s) >= 40.0
-    if np.any(big):
-        out[big] = _laguerre_tail(s[big])
-    small = ~big
-    re = small & (z.imag == 0.0)
-    sr = s[re].real
-    out[re] = np.where(sr > 0, -np.exp(-sr) * expi(np.maximum(sr, 1e-300)), 0.0)
-    cm = small & (z.imag != 0.0)
-    out[cm] = np.exp(-s[cm]) * exp1(-s[cm])
-    return out
-
-
 def _phi_halfline(z):
-    """Phi(Z) = int_0^inf exp(-t**2)/(t - Z) dt.
+    """Phi(Z) = int_0^inf exp(-t**2)/(t - Z) dt, for |Z| < _SERIES_RADIUS.
 
-    Valid for any ``Z`` not on ``[0, inf)``; for real ``Z > 0`` it returns
-    the principal value.  ``Z = 0`` is a logarithmic singularity and is
-    the caller's responsibility (the moment prefactor removes it).
+    Half the full-line transform int_R exp(-t**2)/(t - Z) dt (Faddeeva, or
+    Dawson on the axis) plus half of int_0^inf exp(-u)/(u - s) du, s = Z**2,
+    whose products exp(-s)*E1(-s) and exp(-s)*Ei(s) stay far from overflow
+    at |s| < 64.  For real ``Z`` it returns the principal value; ``Z = 0``
+    is a logarithmic singularity that the moment prefactor removes.
     """
-    return 0.5 * (_cauchy_gauss_full(z) + _cauchy_exp_halfline(z))
+    z = np.asarray(z, dtype=complex)
+    full, half = np.empty_like(z), np.empty_like(z)
+    up, dn = z.imag > 0, z.imag < 0
+    re = ~(up | dn)
+    full[up] = 1j * math.pi * wofz(z[up])
+    full[dn] = -1j * math.pi * wofz(-z[dn])
+    full[re] = -2.0 * SQRT_PI * dawsn(z[re].real)
+    s = z * z
+    axis = z.imag == 0.0
+    sr = s[axis].real
+    half[axis] = np.where(sr > 0, -np.exp(-sr) * expi(np.maximum(sr, 1e-300)), 0.0)
+    half[~axis] = np.exp(-s[~axis]) * exp1(-s[~axis])
+    return 0.5 * (full + half)
 
 
 def _cauchy_halfline_poly(a: float, n: int, z, phi_z):
-    """int_0^inf exp(-C**2)(1+aC)**2 C**n / (C - Z) dC, vectorized in Z.
+    """int_0^inf exp(-C**2)(1+aC)**2 C**n / (C - Z) dC for |Z| < _SERIES_RADIUS.
 
     ``phi_z`` must hold Phi(Z) (ordinary or PV, matching the caller's
-    intent).  For |Z| >= _SERIES_RADIUS the synthetic-division route
-    cancels catastrophically and the asymptotic moment series is used
-    instead; its optimal-truncation error there is below 1e-25.
+    intent).  Synthetic division reduces the transform to half-line
+    Gaussian moments plus p(Z)*Phi(Z); the two cancel more as |Z| grows.
     """
-    z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
+    p = np.zeros(n + 3)
+    p[n], p[n + 1], p[n + 2] = 1.0, 2.0 * a, a * a
+    d = n + 2
+    # synthetic division: (p(C) - p(Z))/(C - Z) = sum b_k C**k
+    b = np.empty((d,) + z.shape, dtype=complex)
+    b[d - 1] = p[d]
+    for j in range(d - 1, 0, -1):
+        b[j - 1] = p[j] + z * b[j]
+    moment_part = np.tensordot(_HALF_MOMENTS[:d], b, axes=(0, 0))
+    p_at_z = np.zeros_like(z)
+    for c in p[::-1]:
+        p_at_z = p_at_z * z + c
+    # a fresh copy, as when the outputs were pinned: from 16384 points on numpy
+    # reuses it in place, forming phi * p, which rounds unlike p * phi
+    return moment_part + p_at_z * phi_z.copy()
 
-    big = np.abs(z) >= _SERIES_RADIUS
-    if np.any(big):
-        zb = z[big]
-        h = _HALF_MOMENTS
-        nu = h[n:-2] + 2.0 * a * h[n + 1 : -1] + a * a * h[n + 2 :]
-        tot = np.zeros_like(zb)
-        term = -1.0 / zb
-        prev = np.full(zb.shape, np.inf)
-        for k in range(nu.size):
-            contrib = term * nu[k]
-            mag = np.abs(contrib)
-            if np.all(mag >= prev):  # asymptotic tail started growing
-                break
-            tot += np.where(mag <= prev, contrib, 0.0)
-            prev = np.minimum(prev, mag)
-            term = term / zb
-            if np.max(mag) < 1e-22:
-                break
-        out[big] = tot
 
-    sm = ~big
-    if np.any(sm):
-        zs = z[sm]
-        p = np.zeros(n + 3)
-        p[n], p[n + 1], p[n + 2] = 1.0, 2.0 * a, a * a
-        d = n + 2
-        # synthetic division: (p(C) - p(Z))/(C - Z) = sum b_k C**k
-        b = np.empty((d,) + zs.shape, dtype=complex)
-        b[d - 1] = p[d]
-        for j in range(d - 1, 0, -1):
-            b[j - 1] = p[j] + zs * b[j]
-        moment_part = np.tensordot(_HALF_MOMENTS[:d], b, axes=(0, 0))
-        p_at_z = np.zeros_like(zs)
-        for c in p[::-1]:
-            p_at_z = p_at_z * zs + c
-        out[sm] = moment_part + p_at_z * np.asarray(phi_z)[sm]
+def _cauchy_halfline_series(a: float, z) -> np.ndarray:
+    """The same transforms J_0..J_4 for |Z| >= _SERIES_RADIUS; (5, z.size).
+
+    J_n(Z) ~ -sum_k g_{n+k} Z**-(k+1), g_m = h_m + 2a h_{m+1} + a**2 h_{m+2}.
+    Only J_4 is summed, each point up to its own smallest term (g is
+    log-convex, so the terms only grow after it) or until its term is below
+    1e-17 of its sum; finished points leave the working set.  The exact
+    identity J_n = (J_{n+1} - g_n)/Z, stable downward here, gives J_3..J_0.
+    """
+    h = _HALF_MOMENTS
+    g = h[:-2] + 2.0 * a * h[1:-1] + a * a * h[2:]
+    out = np.empty((5, z.size), dtype=complex)
+    live, w, total = np.arange(z.size), 1.0 / z, np.zeros_like(z)
+    power, prev = -w, np.full(z.shape, np.inf)  # power = -Z**-(k+1)
+    for gm in g[4:]:
+        term = gm * power
+        mag = np.abs(term)
+        grew = mag > prev
+        total = np.where(grew, total, total + term)
+        done = grew | (mag <= 1e-17 * np.abs(total))
+        if done.any():
+            out[4, live[done]] = total[done]
+            keep = ~done
+            live, w, power, total, mag = live[keep], w[keep], power[keep], total[keep], mag[keep]
+            if not live.size:
+                break
+        prev, power = mag, power * w
+    out[4, live] = total
+    for n in range(3, -1, -1):
+        out[n] = (out[n + 1] - g[n]) / z
     return out
+
+
+def _cauchy_halfline(a: float, z: np.ndarray) -> np.ndarray:
+    """J_0..J_4 at one half-line's arguments Z, (5,) + z.shape; real if Z is."""
+    real = not np.iscomplexobj(z)
+    zf = np.asarray(z, dtype=complex).reshape(-1)
+    out = np.empty((5, zf.size), dtype=complex)
+    far = np.abs(zf) >= _SERIES_RADIUS
+    if far.any():
+        out[:, far] = _cauchy_halfline_series(a, zf[far])
+    near = ~far
+    if near.any():
+        zs = zf[near]
+        phi = _phi_halfline(zs)
+        if real:
+            phi = phi.real
+        for n in range(5):
+            out[n, near] = _cauchy_halfline_poly(a, n, zs, phi)
+    out = out.reshape((5,) + z.shape)
+    return out.real if real else out
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +199,12 @@ def _tn_halflines(a: float, z: np.ndarray) -> np.ndarray:
     a complex division by ``1 - a*z`` rounds differently from a real one.
     At real ``z = 0`` the result is finite and the caller sets it.
     """
-    real = not np.iscomplexobj(z)
     dp, dm = 1.0 - a * z, 1.0 + a * z
-    # the factorized half-line route applies uniformly, a = 0 included
-    # (Z+ = Z- = z there); its series branch keeps large arguments stable
-    zp, zm = z / dp, -(z / dm)
-    phi_p, phi_m = _phi_halfline(zp), _phi_halfline(zm)
-    if real:
-        phi_p, phi_m = phi_p.real, phi_m.real
-    out = np.empty((5,) + z.shape, dtype=z.dtype)
+    # C > 0 at Z+, C < 0 (as u = -C) at -Z-; one half-line held at a time
+    out = _cauchy_halfline(a, z / dp) / dp
+    jm = _cauchy_halfline(a, -(z / dm))
     for n in range(5):
-        jp = _cauchy_halfline_poly(a, n, zp, phi_p)
-        jm = _cauchy_halfline_poly(a, n, zm, phi_m)
-        if real:
-            jp, jm = jp.real, jm.real
-        out[n] = z * (jp / dp + (-1.0) ** (n + 1) * jm / dm)
+        out[n] = z * (out[n] + (-1.0) ** (n + 1) * jm[n] / dm)
     return out
 
 

@@ -220,6 +220,9 @@ BELOW_MINIMUM = [
     ["dispersion-eval", "--z-re", "0.3", "--nodes", "19"],
     ["dispersion-curve", "--points", "1"],
     ["fm-solve", "--x-points", "1"],
+    ["fm-solve", "--c-points", "1"],
+    ["fm-solve", "--c-points", "0"],
+    ["fm-solve", "--c-points", "-1"],
 ]
 
 
@@ -234,8 +237,18 @@ def test_count_below_minimum_is_usage_error(capsys, argv):
 def test_count_at_minimum_is_accepted(capsys):
     for argv in (["dispersion-eval", "--z-re", "0.3", "--nodes", "20"],
                  ["dispersion-curve", "--a", "1", "--points", "2"],
-                 ["fm-solve", "--nodes", "20", "--x-points", "2"]):
+                 ["fm-solve", "--nodes", "20", "--x-points", "2", "--c-points", "2"]):
         assert run_cli(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("option", ["--A0", "--A1", "--A2", "--A3", "--At1", "--At3",
+                                    "--x-min", "--x-max", "--c-min", "--c-max"])
+def test_fm_solve_non_finite_float_is_usage_error(capsys, option):
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "fm-solve", f"{option}={value}")
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
 
 
 #: the README's five example commands and the sha256 of each one's output

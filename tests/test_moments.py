@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,11 +13,12 @@ from bgkspectral import (
     lambda_a0_boundary,
     lambda_boundary,
     lambda_c_boundary,
+    make_params,
     moments_at,
     moments_boundary,
     moments_pv,
 )
-from bgkspectral.moments import tn_offcut_array
+from bgkspectral.moments import tn_offcut_array, tn_pv_array
 from bgkspectral.params import rho_of_c, velocity_map
 from bgkspectral.quadrature import integrate_weighted
 
@@ -198,3 +201,70 @@ def test_asymptotic_moments_closed_form(model):
         quad = np.array([
             integrate_weighted(s, lambda c, n=n: c**n) for n in range(7)])
         assert np.max(np.abs(m - quad)) < 1e-11
+
+
+def mpmath_moments(a, z):
+    """t0..t4 at ``z`` (complex, or real for the principal value), to 40 digits.
+
+    Each half-line transform comes from Phi(Z) = int_0^inf exp(-t**2)/(t - Z) dt
+    in closed form (erfc and E1 off the real axis, erfi and Ei on it) and the
+    exact recurrence K_{n+1} = h_n + Z K_n for K_n = int_0^inf exp(-t**2)
+    t**n/(t - Z) dt; at |Z| = 1e3 its cancellation still leaves 28 digits.
+    """
+    with mp.workdps(40):
+        a = mp.mpf(a)
+        z = mp.mpc(z) if isinstance(z, complex) else mp.mpf(z)
+        h = [mp.gamma(mp.mpf(k + 1) / 2) / 2 for k in range(6)]
+
+        def halfline(big_z):
+            if mp.im(big_z) < 0:
+                return [mp.conj(j) for j in halfline(mp.conj(big_z))]
+            s = big_z * big_z
+            if mp.im(big_z) == 0:
+                k = [(-mp.pi * mp.erfi(big_z) - mp.ei(s)) * mp.exp(-s) / 2]
+            else:
+                k = [(1j * mp.pi * mp.erfc(-1j * big_z) + mp.e1(-s)) * mp.exp(-s) / 2]
+            for n in range(6):
+                k.append(h[n] + big_z * k[-1])
+            return [k[n] + 2 * a * k[n + 1] + a * a * k[n + 2] for n in range(5)]
+
+        dp, dm = 1 - a * z, 1 + a * z
+        jp, jm = halfline(z / dp), halfline(-z / dm)
+        return [complex(z * (jp[n] / dp + (-1) ** (n + 1) * jm[n] / dm)) for n in range(5)]
+
+
+#: points whose half-line arguments Z+ = z/(1 - az), Z- = z/(1 + az) reach
+#: the moment series (|Z| >= 8): both of them at a = 0, and one of them at
+#: a > 0 with the other below 2; the radii start just past the switch
+SERIES_POINTS = [
+    (0.0, r * cmath.exp(2j * math.pi * (k + 0.5) / 8))
+    for r in (8.0 + 1e-9, 10.0, 20.0, 1e3) for k in range(8)
+] + [
+    (a, big_z / (1.0 + side * a * big_z))
+    for a in (1.0, 5.0, 100.0) for r in (8.0 + 1e-9, 30.0, 1e3)
+    for big_z in (r * cmath.exp(1j * th) for th in (0.4, 1.9, 3.5, 5.2))
+    for side in (1, -1)
+]
+
+
+def test_series_branch_matches_mpmath():
+    # odd t_n at a = 0, |z| = 1e3 measure about 5e-14: the two half-lines
+    # cancel there to 1/|z| of their size
+    for a, z in SERIES_POINTS:
+        big = sorted((abs(z / (1 - a * z)), abs(z / (1 + a * z))))
+        assert big[1] >= 8.0 and (a == 0.0 or big[0] < 2.0)
+        got, ref = tn_offcut_array(make_params(a), z), mpmath_moments(a, z)
+        for n in range(5):
+            assert abs(got[n] - ref[n]) <= 1e-13 * abs(ref[n]), (a, z, n)
+
+
+@pytest.mark.parametrize("a, x", [(1.0, 0.8635), (100.0, -0.0099843)])
+def test_t4_just_past_s_40_matches_mpmath(a, x):
+    # |Z+-|**2 is just above 40 at these points: an asymptotic tail for the
+    # exponential integral there, summed past its smallest term, puts t4
+    # off by 5e-7
+    p = make_params(a)
+    for z, t4 in ((x, tn_pv_array(p, x)[4]),
+                  (complex(x, 1e-9), tn_offcut_array(p, complex(x, 1e-9))[4])):
+        ref = mpmath_moments(a, z)[4]
+        assert abs(t4 - ref) <= 1e-9 * abs(ref), z
