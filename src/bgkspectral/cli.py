@@ -22,6 +22,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .limits import (
 )
 from .moments import Region, moments_at, moments_boundary, moments_pv
 from .params import kernel_q_c, make_params, on_cut
-from .quadrature import DEFAULT_NODES, MIN_NODES, integrate_weighted, make_scheme
+from .quadrature import integrate_weighted, make_scheme
 from .spectrum import discrete_solution, discrete_solution_dx, normalization_check, residual_2_4
 
 DEFAULT_POINTS = 401
@@ -104,8 +105,6 @@ def _write_json(path, payload):
 
 
 def _add_common(p):
-    p.add_argument("--nodes", type=_at_least(MIN_NODES), default=DEFAULT_NODES,
-                   help=f"quadrature nodes per half-line (default {DEFAULT_NODES})")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format (default csv)")
     p.add_argument("--out", default=None, metavar="PATH",
@@ -123,7 +122,7 @@ def cmd_dispersion_curve(args, parser) -> int:
             f"x range [{xmin}, {xmax}] must lie inside the cut "
             f"(-{params.alpha}, {params.alpha})"
         )
-    scheme = make_scheme(params, args.nodes)
+    scheme = make_scheme(params)
     x = np.linspace(xmin, xmax, args.points)
     vals = lambda_boundary(params, scheme, x, "plus")
     rows = [(xi, v.real, v.imag) for xi, v in zip(x, np.atleast_1d(vals))]
@@ -131,7 +130,7 @@ def cmd_dispersion_curve(args, parser) -> int:
     if args.format == "json":
         _write_json(args.out, {
             "command": args.command,
-            "config": {"a": args.a, "nodes": args.nodes, "points": args.points,
+            "config": {"a": args.a, "nodes": scheme.n, "points": args.points,
                        "x_min": xmin, "x_max": xmax},
             "rows": [dict(zip(header, map(float, r))) for r in rows],
         })
@@ -141,7 +140,11 @@ def cmd_dispersion_curve(args, parser) -> int:
 
 
 def _checks_for(params, scheme):
-    """The invariant suite behind spectrum-verify; yields check dicts."""
+    """The invariant suite behind spectrum-verify; yields check dicts.
+
+    Each check group runs under ``guard``: an exception inside a group adds
+    one ``error`` entry named after it, and the suite goes on.
+    """
     a = params.a
     checks = []
 
@@ -152,38 +155,46 @@ def _checks_for(params, scheme):
         entry.update(extra)
         checks.append(entry)
 
-    # conservation / closure identities
-    m0 = integrate_weighted(scheme, lambda c: np.ones_like(c))
-    m2 = integrate_weighted(scheme, lambda c: c * c)
-    e2 = integrate_weighted(scheme, lambda c: (c * c - params.beta) ** 2)
-    orth = integrate_weighted(scheme, lambda c: c * c - params.beta)
-    add("conservation_number", params.r0 * m0 - 1.0, 1e-10)
-    add("conservation_momentum", params.r1 * m2 - 1.0, 1e-10)
-    add("conservation_energy", params.r2 * e2 - 1.0, 1e-10)
-    add("orthogonality_energy", orth / m0, 1e-10)
+    @contextmanager
+    def guard(name):
+        try:
+            yield
+        except Exception as exc:  # reported as an entry; the other groups still run
+            checks.append({"check": name, "status": "error",
+                           "value": float("nan"), "tolerance": 0.0,
+                           "message": str(exc)})
 
-    # discrete-solution residuals
-    for k in range(4):
-        res = max(
-            residual_2_4(
-                params, scheme,
-                lambda xx, mm, k=k: discrete_solution(params, k, xx, mm),
-                x,
-                dh_dx=lambda xx, mm, k=k: discrete_solution_dx(params, k, xx, mm),
+    with guard("conservation"):  # closure identities
+        m0 = integrate_weighted(scheme, lambda c: np.ones_like(c))
+        m2 = integrate_weighted(scheme, lambda c: c * c)
+        e2 = integrate_weighted(scheme, lambda c: (c * c - params.beta) ** 2)
+        orth = integrate_weighted(scheme, lambda c: c * c - params.beta)
+        add("conservation_number", params.r0 * m0 - 1.0, 1e-10)
+        add("conservation_momentum", params.r1 * m2 - 1.0, 1e-10)
+        add("conservation_energy", params.r2 * e2 - 1.0, 1e-10)
+        add("orthogonality_energy", orth / m0, 1e-10)
+
+    with guard("discrete_residual"):
+        for k in range(4):
+            res = max(
+                residual_2_4(
+                    params, scheme,
+                    lambda xx, mm, k=k: discrete_solution(params, k, xx, mm),
+                    x,
+                    dh_dx=lambda xx, mm, k=k: discrete_solution_dx(params, k, xx, mm),
+                )
+                for x in (0.0, 0.7, 2.0)
             )
-            for x in (0.0, 0.7, 2.0)
-        )
-        add(f"discrete_residual_h{k}", res, 1e-8)
+            add(f"discrete_residual_h{k}", res, 1e-8)
 
-    # normalization consistency on a small eta sample
-    etas = np.linspace(-0.8, 0.8, 5) * min(params.alpha, 2.0) / 2.0 if a > 0 else \
-        np.linspace(-1.2, 1.2, 5)
-    etas = etas[np.abs(etas) > 1e-3]
-    dev = max(float(np.max(normalization_check(params, scheme, e))) for e in etas)
-    add("normalization_consistency", dev, 1e-6)
+    with guard("normalization_consistency"):  # on a small eta sample
+        etas = np.linspace(-0.8, 0.8, 5) * min(params.alpha, 2.0) / 2.0 if a > 0 else \
+            np.linspace(-1.2, 1.2, 5)
+        etas = etas[np.abs(etas) > 1e-3]
+        dev = max(float(np.max(normalization_check(params, scheme, e))) for e in etas)
+        add("normalization_consistency", dev, 1e-6)
 
-    # argument-principle zero counts
-    try:
+    with guard("zero_count"):  # argument-principle zero counts
         if a == 0.0:
             w = count_zeros(params, scheme, semicircle_contour())
             add("zero_count_semicircle", w, 0.5, ok=(w == 0))
@@ -193,78 +204,74 @@ def _checks_for(params, scheme):
                 cont = keyhole_contour(params, hw_eff, hh)
                 w = count_zeros(params, scheme, cont)
                 add(f"zero_count_keyhole_{i}", w, 0.5, ok=(w == 0))
-    except Exception as exc:  # structured error entry per the contract
-        checks.append({"check": "zero_count", "status": "error",
-                       "value": float("nan"), "tolerance": 0.0,
-                       "message": str(exc)})
 
-    # Laurent order at infinity
-    order, coeff = laurent_order_at_infinity(params, scheme)
-    add("laurent_order", order - 4, 0.5, ok=(order == 4),
-        coefficient=[coeff.real, coeff.imag])
+    with guard("laurent_order"):  # at infinity
+        order, coeff = laurent_order_at_infinity(params, scheme)
+        add("laurent_order", order - 4, 0.5, ok=(order == 4),
+            coefficient=[coeff.real, coeff.imag])
+        if a == 0.0:
+            add("laurent_coefficient_a0", coeff.real - 0.75, 1e-4)
+
+    with guard("sokhotsky_jump"):  # measured vs mu * claimed
+        scale = min(params.alpha, 1.0)
+        xs = [round(0.3 * scale, 6), round(0.65 * scale, 6)]
+        worst = 0.0
+        for x in xs:
+            sj = sokhotsky_jump(params, x)
+            worst = max(worst, abs(sj.jump - x * sj.claimed_jump))
+            checks.append({
+                "check": f"sokhotsky_ratio_x_{x}", "status": "info",
+                "value": float(sj.ratio.real), "tolerance": 0.0,
+                "note": "measured jump / claimed jump; equals x (claim lacks the factor mu)",
+            })
+        add("sokhotsky_jump_vs_mu_times_claim", worst, 1e-8)
+
     if a == 0.0:
-        add("laurent_coefficient_a0", coeff.real - 0.75, 1e-4)
+        with guard("closed_form_agreement_a0"):
+            rng = np.random.default_rng(2024)
+            zz = rng.uniform(-4, 4, 20) + 1j * np.sign(rng.standard_normal(20)) * \
+                10 ** rng.uniform(-2, 1, 20)
+            dev = float(np.max(np.abs(
+                lambda_fn(params, scheme, zz) - lambda_a0(zz)
+            ) / np.abs(lambda_a0(zz))))
+            add("closed_form_agreement_a0", dev, 1e-8)
 
-    # Sokhotsky jump: measured vs mu * claimed
-    scale = min(params.alpha, 1.0)
-    xs = [round(0.3 * scale, 6), round(0.65 * scale, 6)]
-    worst = 0.0
-    for x in xs:
-        sj = sokhotsky_jump(params, scheme, x)
-        worst = max(worst, abs(sj.jump - x * sj.claimed_jump))
+    with guard("free_molecular"):  # projected system (slope-independent)
+        fm_project_system()
+        cq, wq = _fm_quad()
+        gram_dev = 0.0
+        bp, bm = fm_basis(cq), fm_basis(-cq)
+        for i in range(6):
+            for j in range(6):
+                num = np.sum(wq * (bp[i] * bp[j] + bm[i] * bm[j]))
+                gram_dev = max(gram_dev, abs(num - fm_projection_inner(i, j)))
+        add("fm_projection_identity", gram_dev, 1e-12)
+        res = max(
+            fm_residual(FreeMolecularSolution(**{k: 1.0}), 0.7)
+            for k in ("A0", "A1", "A2", "A3", "At1", "At3")
+        )
+        add("fm_mode_residual_max", res, 1e-8)
         checks.append({
-            "check": f"sokhotsky_ratio_x_{x}", "status": "info",
-            "value": float(sj.ratio.real), "tolerance": 0.0,
-            "note": "measured jump / claimed jump; equals x (claim lacks the factor mu)",
+            "check": "fm_decay_rate", "status": "info",
+            "value": FM_DECAY_RATE, "tolerance": 0.0,
+            "literature_value": FM_DECAY_RATE_QUOTED,
+            "discrepancy": FM_DECAY_RATE_QUOTED - FM_DECAY_RATE,
+            "note": "derived rate sqrt(5*pi)/4; quoted rate sqrt(3*pi)/2 fails the residual check (see DERIVATION_NOTES.md)",
         })
-    add("sokhotsky_jump_vs_mu_times_claim", worst, 1e-8)
-
-    # closed-form agreement at a = 0
-    if a == 0.0:
-        rng = np.random.default_rng(2024)
-        zz = rng.uniform(-4, 4, 20) + 1j * np.sign(rng.standard_normal(20)) * \
-            10 ** rng.uniform(-2, 1, 20)
-        dev = float(np.max(np.abs(
-            lambda_fn(params, scheme, zz) - lambda_a0(zz)
-        ) / np.abs(lambda_a0(zz))))
-        add("closed_form_agreement_a0", dev, 1e-8)
-
-    # free-molecular projected system (slope-independent)
-    fm_project_system()
-    cq, wq = _fm_quad()
-    gram_dev = 0.0
-    bp, bm = fm_basis(cq), fm_basis(-cq)
-    for i in range(6):
-        for j in range(6):
-            num = np.sum(wq * (bp[i] * bp[j] + bm[i] * bm[j]))
-            gram_dev = max(gram_dev, abs(num - fm_projection_inner(i, j)))
-    add("fm_projection_identity", gram_dev, 1e-12)
-    res = max(
-        fm_residual(FreeMolecularSolution(**{k: 1.0}), 0.7)
-        for k in ("A0", "A1", "A2", "A3", "At1", "At3")
-    )
-    add("fm_mode_residual_max", res, 1e-8)
-    checks.append({
-        "check": "fm_decay_rate", "status": "info",
-        "value": FM_DECAY_RATE, "tolerance": 0.0,
-        "literature_value": FM_DECAY_RATE_QUOTED,
-        "discrepancy": FM_DECAY_RATE_QUOTED - FM_DECAY_RATE,
-        "note": "derived rate sqrt(5*pi)/4; quoted rate sqrt(3*pi)/2 fails the residual check (see DERIVATION_NOTES.md)",
-    })
     return checks
 
 
 def cmd_spectrum_verify(args, parser) -> int:
     params = make_params(args.a)
-    scheme = make_scheme(params, args.nodes)
+    scheme = make_scheme(params)
     checks = _checks_for(params, scheme)
     failed = [c for c in checks if c["status"] == "fail"]
     errored = [c for c in checks if c["status"] == "error"]
     payload = {
         "command": args.command,
         "version": __version__,
-        "config": {"a": params.a, "alpha": params.alpha, "nodes": args.nodes,
-                   "defaults": {"nodes": DEFAULT_NODES, "points": DEFAULT_POINTS,
+        "config": {"a": params.a, "alpha": params.alpha, "nodes": scheme.n,
+                   "defaults": {"nodes": scheme.n, "points": DEFAULT_POINTS,
                                 "x_grid": [-DEFAULT_XLIM, DEFAULT_XLIM]}},
         "checks": checks,
         "status": "pass" if not failed and not errored else "fail",
@@ -280,7 +287,7 @@ def cmd_limits_compare(args, parser) -> int:
     rows = []
     for a in a_list:
         params = make_params(a)
-        scheme = make_scheme(params, args.nodes)
+        scheme = make_scheme(params)
         lam_dev = float(np.max(np.abs(
             lambda_fn(params, scheme, z_ref) - lambda_a0(z_ref))))
         kern_dev = 0.0
@@ -316,7 +323,8 @@ def cmd_fm_solve(args, parser) -> int:
     if args.format == "json":
         _write_json(args.out, {
             "command": args.command,
-            "config": vars_config(args),
+            "config": {k: v for k, v in vars(args).items()
+                       if k not in ("func", "out", "format")},
             "decay_rate": FM_DECAY_RATE,
             "rows": [dict(zip(header, map(float, r))) for r in rows],
             "residual_sup": res,
@@ -327,22 +335,16 @@ def cmd_fm_solve(args, parser) -> int:
     return 0
 
 
-def vars_config(args):
-    skip = {"func", "out", "format"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
-
 def cmd_dispersion_eval(args, parser) -> int:
     z = complex(args.z_re, args.z_im)
     params = make_params(args.a)
-    scheme = make_scheme(params, args.nodes)
     if on_cut(params, z):
         if args.side == "pv":
-            ms = moments_pv(params, scheme, z.real)
+            ms = moments_pv(params, z.real)
         else:
-            ms = moments_boundary(params, scheme, z.real, args.side)
+            ms = moments_boundary(params, z.real, args.side)
     else:
-        ms = moments_at(params, scheme, z)
+        ms = moments_at(params, z)
     region = ms.region.value
     lam = complex(_det3(lambda_matrix(params, ms)))
     if ms.region is Region.ON_CUT_PV:

@@ -14,6 +14,9 @@ element tables for this family contain internal misprints (an r2 where
 the rule yields r0 in the top-left entry, a t3 where it yields t2 in the
 middle one), and printed cofactor expansions are similarly unreliable.
 All determinants here are computed directly from the assembled matrix.
+Nothing here integrates (the moments are closed-form): the ``scheme`` of
+the lambda evaluators, ``count_zeros`` and ``laurent_order_at_infinity``
+stays positional for their callers and is not read.
 
 Evaluation is pure; callers may fan out over many points in parallel.
 """
@@ -30,6 +33,7 @@ from .moments import (
     MomentSet,
     Region,
     boundary_jump_array,
+    off_cut_points,
     tn_boundary_array,
     tn_offcut_array,
     tn_pv_array,
@@ -97,16 +101,10 @@ def lambda_fn(params: GasParams, scheme: QuadratureScheme, z):
     """Dispersion function lambda(z) = det(matrix) for z off the cut.
 
     Accepts scalars or arrays.  The determinant is evaluated directly from
-    the assembled 3x3 matrix.  Points that are not finite raise
-    DomainError.
+    the assembled 3x3 matrix.  Points that are not finite or lie on the cut
+    raise as in :func:`~bgkspectral.moments.off_cut_points`.
     """
-    z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
-        raise DomainError("point not finite: lambda is defined at finite z only")
-    if np.any(on_cut(params, z)):
-        raise DomainError(
-            "point on the cut: use lambda_pv or lambda_boundary for tagged values"
-        )
+    z = off_cut_points(params, z)
     det = _det3(_assemble(params, tn_offcut_array(params, z)))
     return complex(det) if det.ndim == 0 else det
 
@@ -175,7 +173,7 @@ class SokhotskyJump:
     pv: float
 
 
-def sokhotsky_jump(params: GasParams, scheme: QuadratureScheme, x: float) -> SokhotskyJump:
+def sokhotsky_jump(params: GasParams, x: float) -> SokhotskyJump:
     """Boundary values of lambda on the cut and their jump diagnostics."""
     x = float(x)
     t_pv = tn_pv_array(params, x).astype(complex)

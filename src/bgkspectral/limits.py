@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import dawsn, roots_legendre, wofz
 
 from .errors import DomainError
-from .params import side_sign
+from .params import require_finite, side_sign
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -49,10 +49,11 @@ def lambda_c(z):
 
     lambda_C(z) = 1 + (z/sqrt(pi)) int exp(-mu**2)/(mu - z) d(mu),
     evaluated through the Faddeeva function.  Vectorized; raises for
-    points on the real axis (use :func:`lambda_c_boundary` or
-    :func:`lambda_c_pv` there).
+    points that are not finite and for points on the real axis (use
+    :func:`lambda_c_boundary` or :func:`lambda_c_pv` there).
     """
     z = np.asarray(z, dtype=complex)
+    require_finite("z", z)
     if np.any(z.imag == 0.0):
         raise DomainError("real axis: use lambda_c_boundary / lambda_c_pv")
     out = np.empty_like(z)
@@ -64,8 +65,9 @@ def lambda_c(z):
 
 
 def lambda_c_pv(x):
-    """Principal-value symbol of lambda_C on the real axis: 1 - 2x D(x)."""
+    """Principal-value symbol of lambda_C on the real axis: 1 - 2x D(x), x finite."""
     x = np.asarray(x, dtype=float)
+    require_finite("x", x)
     v = 1.0 - 2.0 * x * dawsn(x)
     return float(v) if v.ndim == 0 else v
 

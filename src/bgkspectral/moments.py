@@ -34,7 +34,6 @@ needs no coordination.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -43,8 +42,7 @@ import numpy as np
 from scipy.special import dawsn, exp1, expi, gamma, wofz
 
 from .errors import DomainError, WrongRegionError
-from .params import GasParams, on_cut, rho_of_c, side_sign, velocity_map
-from .quadrature import QuadratureScheme
+from .params import GasParams, on_cut, require_finite, rho_of_c, side_sign, velocity_map
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -245,47 +243,38 @@ def tn_boundary_array(params: GasParams, x, side) -> np.ndarray:
     return tn_pv_array(params, x).astype(complex) + sgn * boundary_jump_array(params, x)
 
 
-def moments_at(params: GasParams, scheme: QuadratureScheme, z) -> MomentSet:
+def off_cut_points(params: GasParams, z) -> np.ndarray:
+    """``z`` as a complex array; DomainError if a point is not finite,
+    WrongRegionError if one lies on the closed cut (the PV and boundary-value
+    entry points take those)."""
+    z = np.asarray(z, dtype=complex)
+    require_finite("point", z)
+    if np.any(on_cut(params, z)):
+        raise WrongRegionError(
+            "point lies on the spectral cut; use the PV or boundary-value entry points")
+    return z
+
+
+def moments_at(params: GasParams, z) -> MomentSet:
     """Moment set at a complex point off the cut ``[-alpha, alpha]``.
 
-    Parameters
-    ----------
-    z : complex
-        Any point not on the closed cut (the whole real axis when a = 0).
-
-    Raises
-    ------
-    DomainError
-        If ``z`` is not finite.
-    WrongRegionError
-        If ``z`` lies on the cut; use :func:`moments_pv` /
-        :func:`moments_boundary` there.
+    ``z`` is any point not on the closed cut (the whole real axis when
+    a = 0); :func:`off_cut_points` names the errors.
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"point {z} is not finite")
-    if on_cut(params, z):
-        raise WrongRegionError(
-            "point lies on the spectral cut; use moments_pv or moments_boundary"
-        )
+    z = complex(off_cut_points(params, z))
     return MomentSet(point=z, region=Region.OFF_CUT, t=tn_offcut_array(params, z))
 
 
-def moments_pv(params: GasParams, scheme: QuadratureScheme, x: float) -> MomentSet:
+def moments_pv(params: GasParams, x: float) -> MomentSet:
     """Principal-value moment set at a real point inside the cut."""
     x = float(x)
-    if not abs(x) < params.alpha:
-        raise DomainError(f"PV point must be a number with |x| < {params.alpha}")
     t = tn_pv_array(params, np.asarray(x)).astype(complex)
     return MomentSet(point=complex(x), region=Region.ON_CUT_PV, t=t)
 
 
-def moments_boundary(params: GasParams, scheme: QuadratureScheme, x: float,
-                     side: str) -> MomentSet:
+def moments_boundary(params: GasParams, x: float, side: str) -> MomentSet:
     """Boundary values t_n(x +- i0) = t_n^PV(x) +- i*pi*x*C(x)**n*rho(x)."""
     x = float(x)
-    if not abs(x) < params.alpha:
-        raise DomainError(f"boundary point must be a number with |x| < {params.alpha}")
     region = Region.BOUNDARY_PLUS if side_sign(side) > 0 else Region.BOUNDARY_MINUS
     t = tn_boundary_array(params, x, side)
     return MomentSet(point=complex(x), region=region, t=t)

@@ -138,6 +138,14 @@ def side_sign(side) -> float:
     raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
 
+def require_finite(name: str, value) -> None:
+    """Raise DomainError naming ``name`` and a bad entry unless ``value`` is
+    finite everywhere."""
+    bad = ~np.isfinite(value)
+    if np.any(bad):
+        raise DomainError(f"{name} is not finite: {np.asarray(value)[bad][0]}")
+
+
 def on_cut(params: GasParams, z) -> np.ndarray:
     """Elementwise test for the closed cut [-alpha, alpha] (the real axis at a=0)."""
     z = np.asarray(z, dtype=complex)
@@ -149,9 +157,10 @@ def weight(params: GasParams, mu):
 
     Even in ``mu``; vanishes together with every product ``rho * C**n`` at
     the interval endpoints, which are handled as limits (value 0) rather
-    than as errors.
+    than as errors.  A ``mu`` that is not finite raises DomainError.
     """
     mu = np.asarray(mu, dtype=float)
+    require_finite("mu", mu)
     one_minus = 1.0 - params.a * np.abs(mu)
     inside = one_minus > 0.0
     c = np.where(inside, mu / np.where(inside, one_minus, 1.0), 0.0)

@@ -1,6 +1,8 @@
 """Weighted quadrature on the speed axis and principal-value integration.
 
-One scheme per parameter set.  The weight ``w(C) = exp(-C**2)(1 + a|C|)``
+One fixed rule per parameter set, read only by the code that integrates:
+the conservation identities, the residual checker and the normalization
+principal value (the moments and lambda are closed-form).  The weight ``w(C) = exp(-C**2)(1 + a|C|)``
 is even but has a kink at the origin (and so do most integrands, which
 contain ``|C|`` through the velocity map), so the rule is built as a
 symmetric pair of half-line panel Gauss-Legendre rules that never
@@ -25,13 +27,10 @@ from scipy.special import dawsn, roots_legendre
 from .errors import DomainError, EvaluationError
 from .params import GasParams, mu_of, velocity_map
 
-#: panel edges of the half-line rule before scaling to the node budget
+#: panel edges of the half-line rule
 _PANEL_EDGES = (0.0, 0.6, 1.2, 1.8, 2.4, 3.0, 3.6, 4.4, 5.4, 6.8, 8.6)
-
-#: default node count per half-line (the CLI's ``--nodes``)
-DEFAULT_NODES = 200
-#: smallest node count the panel layout accepts
-MIN_NODES = 20
+#: Gauss-Legendre nodes on each panel: 200 nodes per half-line
+_NODES_PER_PANEL = 20
 
 
 @dataclass(frozen=True)
@@ -42,9 +41,7 @@ class QuadratureScheme:
     ----------
     params : GasParams
     n : int
-        Node count per half-line actually used: the requested count rounded
-        to a whole number of nodes on each of the ten panels, at least 4 a
-        panel (so 20 and 40 both give 40).
+        Node count per half-line, 200: 20 on each of the ten panels.
     nodes : ndarray
         Strictly positive half-line nodes.
     weights_weighted : ndarray
@@ -53,7 +50,8 @@ class QuadratureScheme:
     weights_gauss : ndarray
         Same but for the bare Gaussian weight ``exp(-C**2)``.
 
-    Immutable after construction; integration calls are pure and reentrant.
+    Built only by :func:`make_scheme`.  Immutable after construction;
+    integration calls are pure and reentrant.
     """
 
     params: GasParams
@@ -73,30 +71,28 @@ def _legendre_panels(edges, n_per: int):
     return nodes.ravel(), (half[:, None] * w01).ravel()
 
 
-def make_scheme(params: GasParams, n: int = DEFAULT_NODES) -> QuadratureScheme:
-    """Build the weighted half-line rule with ``n`` nodes per half-line."""
-    if n < MIN_NODES:
-        raise DomainError(f"node count too small for the panel layout: {n}")
-    n_panels = len(_PANEL_EDGES) - 1
-    per = max(4, int(round(n / n_panels)))
-    c, bare = _legendre_panels(_PANEL_EDGES, per)
+def make_scheme(params: GasParams) -> QuadratureScheme:
+    """Build the weighted half-line rule: 20 Gauss-Legendre nodes on each of
+    the ten panels of ``_PANEL_EDGES``, 200 nodes per half-line."""
+    c, bare = _legendre_panels(_PANEL_EDGES, _NODES_PER_PANEL)
     gauss = bare * np.exp(-c * c)
     weighted = gauss * (1.0 + params.a * c)
     return QuadratureScheme(
         params=params,
-        n=per * n_panels,
+        n=c.size,
         nodes=c,
         weights_weighted=weighted,
         weights_gauss=gauss,
     )
 
 
-def _eval_sym(f, nodes: np.ndarray):
-    """f(nodes) + f(-nodes), with a non-finite guard."""
-    vals = np.asarray(f(nodes)) + np.asarray(f(-nodes))
+def _sym_sum(weights: np.ndarray, plus, minus):
+    """sum(weights * (plus + minus)) over the two half-lines, with a non-finite
+    guard; ``plus`` and ``minus`` are an integrand at the nodes and at -nodes."""
+    vals = np.asarray(plus) + np.asarray(minus)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("integrand returned non-finite values")
-    return vals
+    return np.sum(weights * vals)
 
 
 def integrate_weighted(scheme: QuadratureScheme, f):
@@ -106,7 +102,8 @@ def integrate_weighted(scheme: QuadratureScheme, f):
     values; it should be bounded by a polynomial so the Gaussian weight
     controls the tails.
     """
-    return np.sum(scheme.weights_weighted * _eval_sym(f, scheme.nodes))
+    c = scheme.nodes
+    return _sym_sum(scheme.weights_weighted, f(c), f(-c))
 
 
 def integrate_pv(scheme: QuadratureScheme, f, pole: float):
@@ -158,7 +155,8 @@ def integrate_pv(scheme: QuadratureScheme, f, pole: float):
             out[near] = dh / (2.0 * step)
         return out
 
-    smooth = np.sum(scheme.weights_gauss * _eval_sym(regular, scheme.nodes))
+    c = scheme.nodes
+    smooth = _sym_sum(scheme.weights_gauss, regular(c), regular(-c))
     return smooth + h0 * (-2.0 * np.sqrt(np.pi)) * dawsn(cx)
 
 
@@ -175,23 +173,22 @@ def gauss_panels(lo: float, hi: float, breakpoints=(), n_panels: int = 12,
     return _legendre_panels(np.append(np.concatenate(edges), pts[-1]), n_per)
 
 
-def pv_interval(f, lo: float, hi: float, pole: float, n_panels: int = 16):
+def pv_interval(f, lo: float, hi: float, pole: float):
     """Principal value of ``int_lo^hi f(eta) / (eta - pole) d(eta)``.
 
     Uses subtraction on the finite interval: the regular part
-    ``(f(eta) - f(pole)) / (eta - pole)`` is integrated with panel
-    Gauss-Legendre rules (16 nodes a panel, split at the pole), and the
+    ``(f(eta) - f(pole)) / (eta - pole)`` is integrated on 16 panels of 16
+    Gauss-Legendre nodes each, split at the pole, and the
     subtracted constant contributes ``f(pole) * log((hi-pole)/(pole-lo))``
     exactly.  If the pole lies outside ``[lo, hi]`` the integral is
     ordinary and is computed directly.  ``f`` must accept ndarrays.
     """
     if hi <= lo:
         raise DomainError("empty integration interval")
+    nodes, wts = gauss_panels(lo, hi, (pole,), 16)  # a pole outside is no breakpoint
     if not (lo < pole < hi):
-        nodes, wts = gauss_panels(lo, hi, (), n_panels)
         return np.sum(wts * np.asarray(f(nodes)) / (nodes - pole))
 
-    nodes, wts = gauss_panels(lo, hi, (pole,), n_panels)
     fp = np.asarray(f(np.array([pole]))).ravel()[0]
     vals = (np.asarray(f(nodes)) - fp) / (nodes - pole)
     return np.sum(wts * vals) + fp * np.log((hi - pole) / (pole - lo))

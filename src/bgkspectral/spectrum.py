@@ -26,8 +26,8 @@ from scipy.interpolate import CubicSpline
 from .errors import DomainError, EvaluationError
 from .dispersion import _assemble, _cofactors, _det3, _q_tilde
 from .moments import tn_pv_array
-from .params import GasParams, mu_of, rho_of_c, velocity_map
-from .quadrature import QuadratureScheme, integrate_pv, integrate_weighted, pv_interval
+from .params import GasParams, mu_of, require_finite, rho_of_c, velocity_map
+from .quadrature import QuadratureScheme, _sym_sum, integrate_pv, pv_interval
 
 
 def discrete_solution(params: GasParams, k: int, x, mu):
@@ -88,7 +88,7 @@ def _eigen_arrays(params: GasParams, eta):
     return _det3(m).real, _cofactors(m, c).real, rho_of_c(params, c), c
 
 
-def eigen_data(params: GasParams, scheme: QuadratureScheme, eta: float) -> EigenData:
+def eigen_data(params: GasParams, eta: float) -> EigenData:
     """Collect rho, C, PV cofactors and PV determinant at ``eta``."""
     eta = float(eta)
     det, cof, rho, c = _eigen_arrays(params, eta)
@@ -96,8 +96,7 @@ def eigen_data(params: GasParams, scheme: QuadratureScheme, eta: float) -> Eigen
                      c_eta=float(c))
 
 
-def eigenfunction_regular(params: GasParams, scheme: QuadratureScheme,
-                          eta: float, mu: float):
+def eigenfunction_regular(params: GasParams, eta: float, mu: float):
     """Regular (principal-value) part of the continuum eigenfunction.
 
     Value of ``eta * Q~(eta, mu) * rho(eta) / (lambda_pv(eta) * (eta - mu))``;
@@ -113,7 +112,7 @@ def eigenfunction_regular(params: GasParams, scheme: QuadratureScheme,
     eta, mu = float(eta), float(mu)
     if abs(eta - mu) < 1e-12:
         raise DomainError("eta == mu is the singular point of the eigenfunction")
-    data = eigen_data(params, scheme, eta)
+    data = eigen_data(params, eta)
     qt = float(_q_tilde(params, data.cofactors, velocity_map(params, mu)))
     return eta * qt * data.rho / (data.lambda_pv * (eta - mu))
 
@@ -170,9 +169,11 @@ def apply_expansion(params: GasParams, scheme: QuadratureScheme,
         + exp(-x/mu) A(mu)
 
     With ``derivative=True`` the analytic x-derivative is returned
-    instead.  Decaying exponentials require the continuum support and
-    ``x`` to be nonnegative; nothing enforces that, but growing modes are
-    the caller's responsibility.
+    instead.  ``x`` must be finite (else DomainError).  Decaying
+    exponentials require the continuum support and ``x`` to be nonnegative;
+    nothing enforces that, but growing modes are the caller's
+    responsibility.  ``scheme`` is not read: the continuum integral runs on
+    the fixed rule of :func:`~bgkspectral.quadrature.pv_interval`.
 
     The PV-normalized eigenfunctions carry a factor 1/lambda_pv(eta), and
     lambda_pv has real zeros inside the cut; a smooth density A must
@@ -181,6 +182,7 @@ def apply_expansion(params: GasParams, scheme: QuadratureScheme,
     """
     expansion.validate(params)
     x, mu = float(x), float(mu)
+    require_finite("x", x)
     if abs(mu) >= params.alpha:
         raise DomainError(f"|mu| must be < {params.alpha}")
 
@@ -206,8 +208,7 @@ def apply_expansion(params: GasParams, scheme: QuadratureScheme,
             expo = expo * (-1.0 / eta)
         return expo * eta * qt * rho_eta * expansion.a_of(eta) / det
 
-    continuum = pv_interval(integrand, lo, hi, mu,
-                            n_panels=max(16, scheme.n // 12))
+    continuum = pv_interval(integrand, lo, hi, mu)
 
     a_mu = expansion.a_of(mu)
     if a_mu != 0.0:
@@ -231,19 +232,14 @@ def residual_2_4(params: GasParams, scheme: QuadratureScheme, h, x: float,
     mu_grid = mu_of(params, np.linspace(-3.5, 3.5, 64))
     c_grid = np.asarray(velocity_map(params, mu_grid), dtype=float)
 
-    # collision integral via the factorized kernel: three h-moments suffice
-    def f0(c):
-        return h(x, mu_of(params, c))
-
-    def f1(c):
-        return h(x, mu_of(params, c)) * c
-
-    def f2(c):
-        return h(x, mu_of(params, c)) * (c * c - params.beta)
-
-    i0 = integrate_weighted(scheme, f0)
-    i1 = integrate_weighted(scheme, f1)
-    i2 = integrate_weighted(scheme, f2)
+    # collision integral via the factorized kernel: three h-moments suffice,
+    # all from one evaluation of h at the nodes and one at their mirror images
+    wts, cp = scheme.weights_weighted, scheme.nodes
+    cm = -cp
+    hp, hm = np.asarray(h(x, mu_of(params, cp))), np.asarray(h(x, mu_of(params, cm)))
+    i0 = _sym_sum(wts, hp, hm)
+    i1 = _sym_sum(wts, hp * cp, hm * cm)
+    i2 = _sym_sum(wts, hp * (cp * cp - params.beta), hm * (cm * cm - params.beta))
     collision = (
         params.r0 * i0
         + params.r1 * c_grid * i1
@@ -277,7 +273,7 @@ def normalization_check(params: GasParams, scheme: QuadratureScheme,
     system with its own solution formula.
     """
     eta = float(eta)
-    data = eigen_data(params, scheme, eta)
+    data = eigen_data(params, eta)
     prefactor = eta * data.rho / data.lambda_pv
 
     deviations = np.empty(3)

@@ -124,19 +124,19 @@ def test_criterion_05_zero_counts(model):
 
 
 def test_criterion_06_plemelj_sokhotsky(model):
-    p, s = model[1.0]
+    p, _ = model[1.0]
     xs = np.linspace(-0.95, 0.95, 20)
     worst_t = 0.0
     for x in xs:
         jmp = {}
         for eps in (2e-6, 1e-6):
-            tp = moments_at(p, s, complex(x, eps)).t
-            tm = moments_at(p, s, complex(x, -eps)).t
+            tp = moments_at(p, complex(x, eps)).t
+            tm = moments_at(p, complex(x, -eps)).t
             jmp[eps] = tp - tm
         extrap = 2.0 * jmp[1e-6] - jmp[2e-6]
         claim = boundary_jump_array(p, np.asarray(x)) * 2.0
         worst_t = max(worst_t, float(np.max(np.abs(extrap - claim))))
-    sj = sokhotsky_jump(p, s, 0.45)
+    sj = sokhotsky_jump(p, 0.45)
     ratio_dev = abs(sj.jump - 0.45 * sj.claimed_jump)
     ok = worst_t < 1e-6
     report(6, ok,

@@ -1,8 +1,10 @@
+import ast
 import csv
 import hashlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +119,19 @@ class TestSpectrumVerify:
             math.sqrt(3 * math.pi) / 2)
         assert "discrepancy" in entry
 
+    @pytest.mark.parametrize("a", ["1e3", "1e5"])
+    def test_crashing_check_becomes_error_entry(self, capsys, a):
+        # the eta sample of normalization_consistency is empty at these
+        # slopes: that check errors, and the rest of the report is written
+        code, out, _ = run_cli(capsys, "spectrum-verify", "--a", a)
+        rep = json.loads(out)
+        assert code == 1 and rep["status"] == "fail"
+        entry = next(c for c in rep["checks"] if c["check"] == "normalization_consistency")
+        assert entry["status"] == "error"
+        assert entry["message"]
+        assert {"conservation_number", "laurent_order",
+                "fm_mode_residual_max"} <= {c["check"] for c in rep["checks"]}
+
     def test_malformed_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "spectrum-verify", "--a", "-1")
@@ -210,14 +225,8 @@ class TestDispersionEval:
         assert len(rep["t"]) == 5
 
 
-#: one too-small value per bounded count option; fm-solve never builds a
-#: quadrature scheme but still rejects --nodes below the minimum
+#: one too-small value per bounded count option
 BELOW_MINIMUM = [
-    ["dispersion-curve", "--nodes", "19"],
-    ["spectrum-verify", "--nodes", "19"],
-    ["limits-compare", "--nodes", "19"],
-    ["fm-solve", "--nodes", "19"],
-    ["dispersion-eval", "--z-re", "0.3", "--nodes", "19"],
     ["dispersion-curve", "--points", "1"],
     ["fm-solve", "--x-points", "1"],
     ["fm-solve", "--c-points", "1"],
@@ -235,10 +244,28 @@ def test_count_below_minimum_is_usage_error(capsys, argv):
 
 
 def test_count_at_minimum_is_accepted(capsys):
-    for argv in (["dispersion-eval", "--z-re", "0.3", "--nodes", "20"],
-                 ["dispersion-curve", "--a", "1", "--points", "2"],
-                 ["fm-solve", "--nodes", "20", "--x-points", "2", "--c-points", "2"]):
+    for argv in (["dispersion-curve", "--a", "1", "--points", "2"],
+                 ["fm-solve", "--x-points", "2", "--c-points", "2"]):
         assert run_cli(capsys, *argv)[0] == 0
+
+
+#: the smallest valid invocation of each subcommand
+SUBCOMMANDS = [
+    ["dispersion-curve"],
+    ["spectrum-verify"],
+    ["limits-compare"],
+    ["fm-solve"],
+    ["dispersion-eval", "--z-re", "0.3"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_nodes_is_unknown_option(capsys, argv):
+    # the quadrature rule is fixed; no subcommand takes a node count
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv, "--nodes", "200")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --nodes 200" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", ["--A0", "--A1", "--A2", "--A3", "--At1", "--At3",
@@ -274,3 +301,13 @@ def test_readme_output_golden(command, tmp_path):
     path = tmp_path / "out"
     assert main(command.split() + ["--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == README_DIGESTS[command]
+
+
+def test_readme_digests_match_benchmark_table():
+    # the benchmark pins the same digests; a re-pin must update both tables.
+    # Parsed as text so the test does not import the benchmark.
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    table = next(node.value for node in ast.parse(source).body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "README_COMMANDS" for t in node.targets))
+    assert ast.literal_eval(table) == README_DIGESTS

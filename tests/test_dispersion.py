@@ -58,7 +58,7 @@ class TestMatrixAssembly:
         # substitute the continuum ansatz into the projection integrals at
         # one point: the coefficient of the zeroth moment in the alpha=0
         # equation is 1 + z int (r0 - beta r2 (C(mu)^2-beta)) rho/(mu-z) dmu
-        p, s = model[1.0]
+        p, _ = model[1.0]
         z = 2j
 
         def integrand_re(c):
@@ -76,7 +76,7 @@ class TestMatrixAssembly:
         re, _ = si.quad(integrand_re, -8.6, 8.6, points=[0.0], limit=200)
         im, _ = si.quad(integrand_im, -8.6, 8.6, points=[0.0], limit=200)
         want = 1.0 + re + 1j * im
-        m = lambda_matrix(p, moments_at(p, s, z))
+        m = lambda_matrix(p, moments_at(p, z))
         assert m[0, 0] == pytest.approx(want, abs=1e-11)
 
     def test_six_term_expansion_identity(self, model):
@@ -86,7 +86,7 @@ class TestMatrixAssembly:
         rng = np.random.default_rng(5)
         for _ in range(10):
             z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 2))
-            ms = moments_at(p, s, z)
+            ms = moments_at(p, z)
             m = lambda_matrix(p, ms)
             t = ms.t
             expansion = (
@@ -150,7 +150,7 @@ class TestLambdaFunction:
             with pytest.raises(DomainError):
                 lambda_fn(p, s, end)
             with pytest.raises(WrongRegionError):
-                moments_at(p, s, end)
+                moments_at(p, end)
             with pytest.raises(DomainError):
                 lambda_pv(p, s, end.real)
         mixed = np.array([1 + 1j, 2.0 + 0j, p.alpha + 0j, -3 - 0.5j])
@@ -168,16 +168,16 @@ class TestLambdaFunction:
         with pytest.raises(DomainError, match="number"):
             lambda_pv(p, s, nan)
         with pytest.raises(DomainError, match="number"):
-            moments_pv(p, s, nan)
+            moments_pv(p, nan)
         with pytest.raises(DomainError, match="number"):
-            moments_boundary(p, s, nan, "plus")
+            moments_boundary(p, nan, "plus")
         with pytest.raises(DomainError, match="number"):
             lambda_boundary(p, s, np.array([0.2, nan]), "minus")
         for z in (nan + 1j, complex(0.3, inf), complex(inf, 0.0)):
             with pytest.raises(DomainError, match="finite"):
                 lambda_fn(p, s, z)
             with pytest.raises(DomainError, match="finite"):
-                moments_at(p, s, z)
+                moments_at(p, z)
         with pytest.raises(DomainError, match="finite"):
             lambda_fn(p, s, np.array([1 + 1j, nan + 1j]))
         for argv in (["--z-re", "nan"], ["--z-re", "0.3", "--z-im", "inf"]):
@@ -197,11 +197,11 @@ class TestCofactors:
         assert lambda_alpha(p, ms, 2, eta) == pytest.approx(c * c)
 
     def test_laplace_expansion_equivalence(self, model):
-        p, s = model[0.5]
+        p, _ = model[0.5]
         rng = np.random.default_rng(23)
         for _ in range(5):
             eta = rng.uniform(-1.8, 1.8)
-            ms = moments_pv(p, s, eta)
+            ms = moments_pv(p, eta)
             m = lambda_matrix(p, ms)
             c = velocity_map(p, eta)
             col = np.array([1.0, c, c * c])
@@ -215,16 +215,16 @@ class TestCofactors:
     def test_a0_cofactor_identities(self, model):
         # at a = 0 the replaced-column determinants collapse:
         # L0 = 1, L1 = L2 = 0 identically on the cut
-        p, s = model[0.0]
+        p, _ = model[0.0]
         for eta in (0.3, 0.9, 1.7, -1.1):
-            ms = moments_pv(p, s, eta)
+            ms = moments_pv(p, eta)
             assert lambda_alpha(p, ms, 0, eta) == pytest.approx(1.0, abs=1e-12)
             assert abs(lambda_alpha(p, ms, 1, eta)) < 1e-12
             assert abs(lambda_alpha(p, ms, 2, eta)) < 1e-12
 
     def test_bad_index(self, model):
-        p, s = model[1.0]
-        ms = moments_pv(p, s, 0.3)
+        p, _ = model[1.0]
+        ms = moments_pv(p, 0.3)
         with pytest.raises(DomainError):
             lambda_alpha(p, ms, 3, 0.3)
 
@@ -247,16 +247,16 @@ class TestQTilde:
             assert q_tilde(p, ms, 0.0, mu) == pytest.approx(want, rel=1e-14)
 
     def test_real_on_diagonal(self, model):
-        p, s = model[1.0]
-        ms = moments_pv(p, s, 0.45)
+        p, _ = model[1.0]
+        ms = moments_pv(p, 0.45)
         val = q_tilde(p, ms, 0.45, 0.45)
         assert isinstance(val, float)
 
     def test_a0_mu_quadratic_form(self, model):
         # at a = 0: Q~(eta, mu) = (3/2 - mu^2)/sqrt(pi), independent of eta
-        p, s = model[0.0]
+        p, _ = model[0.0]
         for eta in (0.25, 1.1):
-            ms = moments_pv(p, s, eta)
+            ms = moments_pv(p, eta)
             for mu in (0.0, 0.7, -1.4):
                 want = (1.5 - mu * mu) / SQPI
                 assert q_tilde(p, ms, eta, mu) == pytest.approx(want, abs=1e-12)
@@ -264,29 +264,29 @@ class TestQTilde:
 
 class TestSokhotsky:
     def test_origin_limit(self, model):
-        p, s = model[1.0]
-        sj = sokhotsky_jump(p, s, 1e-9)
+        p, _ = model[1.0]
+        sj = sokhotsky_jump(p, 1e-9)
         assert abs(sj.jump) < 1e-7
         assert sj.lambda_plus == pytest.approx(1.0, abs=1e-6)
 
     def test_schwarz_pair(self, model):
         for a in (0.5, 1.0):
-            p, s = model[a]
-            sj = sokhotsky_jump(p, s, 0.3 / (1 + a))
+            p, _ = model[a]
+            sj = sokhotsky_jump(p, 0.3 / (1 + a))
             assert np.conj(sj.lambda_plus) == pytest.approx(sj.lambda_minus, rel=1e-13)
 
     def test_average_equals_pv(self, model):
-        p, s = model[1.0]
-        sj = sokhotsky_jump(p, s, 0.6)
+        p, _ = model[1.0]
+        sj = sokhotsky_jump(p, 0.6)
         assert sj.average.real == pytest.approx(sj.pv, rel=1e-13)
         assert abs(sj.average.imag) < 1e-14
 
     def test_measured_jump_is_mu_times_claim(self, model):
         # the determinant's boundary jump carries the extra factor x
         for a in (0.5, 1.0, 2.0):
-            p, s = model[a]
+            p, _ = model[a]
             for x in (0.2 / (1 + a), 0.65 / (1 + a)):
-                sj = sokhotsky_jump(p, s, x)
+                sj = sokhotsky_jump(p, x)
                 assert sj.jump == pytest.approx(x * sj.claimed_jump, rel=1e-10)
                 assert sj.ratio.real == pytest.approx(x, rel=1e-10)
 
@@ -390,7 +390,7 @@ class TestSpectrumDescription:
 class TestDispersionEval:
     def test_offcut_has_no_cofactors(self, model):
         p, s = model[1.0]
-        ms = moments_at(p, s, 1 + 1j)
+        ms = moments_at(p, 1 + 1j)
         det = np.linalg.det(lambda_matrix(p, ms))
         assert det == pytest.approx(lambda_fn(p, s, 1 + 1j), rel=1e-14)
         # the velocity map, and so the replaced column, exists only on the cut
@@ -399,7 +399,7 @@ class TestDispersionEval:
 
     def test_pv_eval_carries_cofactors(self, model):
         p, s = model[1.0]
-        ms = moments_pv(p, s, 0.3)
+        ms = moments_pv(p, 0.3)
         det = np.linalg.det(lambda_matrix(p, ms))
         assert det.real == pytest.approx(lambda_pv(p, s, 0.3), rel=1e-13)
         assert all(np.isfinite(lambda_alpha(p, ms, k, 0.3)) for k in range(3))

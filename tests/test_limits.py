@@ -16,6 +16,7 @@ from bgkspectral import (
     fm_residual,
     kernel_q_c,
     lambda_a0,
+    lambda_a0_boundary,
     lambda_c,
     lambda_c_boundary,
     lambda_c_pv,
@@ -70,6 +71,18 @@ class TestPlasmaFunction:
         vm = lambda_c_boundary(0.8, "minus")
         assert np.conj(vp) == pytest.approx(vm, rel=1e-14)
         assert 0.5 * (vp + vm) == pytest.approx(lambda_c_pv(0.8), rel=1e-14)
+
+    def test_non_finite_input_rejected(self):
+        # each raises DomainError naming its argument, instead of returning
+        # NaN or calling NaN a real-axis point
+        nan = float("nan")
+        for call, name in ((lambda: lambda_c(complex(nan, 1.0)), "z"),
+                           (lambda: lambda_c_pv(nan), "x"),
+                           (lambda: lambda_c_pv(np.array([0.3, np.inf])), "x"),
+                           (lambda: lambda_a0_boundary(nan, "plus"), "x"),
+                           (lambda: lambda_a0(nan), "z")):
+            with pytest.raises(DomainError, match=f"^{name} is not finite"):
+                call()
 
 
 class TestConstantFrequencyDispersion:

@@ -16,6 +16,7 @@ from bgkspectral import (
     normalization_check,
     residual_2_4,
     velocity_map,
+    weight,
 )
 
 from conftest import smooth_bump
@@ -111,16 +112,16 @@ class TestResidualOperator:
 
 class TestEigenfunctionRegular:
     def test_pole_rejected(self, model):
-        p, s = model[1.0]
+        p, _ = model[1.0]
         with pytest.raises(DomainError):
-            eigenfunction_regular(p, s, 0.3, 0.3)
+            eigenfunction_regular(p, 0.3, 0.3)
 
     def test_antisymmetric_blow_up(self, model):
-        p, s = model[1.0]
+        p, _ = model[1.0]
         eta = 0.25
         for d in (1e-3, 1e-5):
-            up = eigenfunction_regular(p, s, eta, eta + d)
-            dn = eigenfunction_regular(p, s, eta, eta - d)
+            up = eigenfunction_regular(p, eta, eta + d)
+            dn = eigenfunction_regular(p, eta, eta - d)
             assert np.sign(up) == -np.sign(dn)
             assert abs(up) > 1.0 / (10 * d)
 
@@ -129,7 +130,7 @@ class TestEigenfunctionRegular:
         # eta (3/2 - mu^2) / (sqrt(pi) (eta - mu))
         p, s = model[0.0]
         for eta, mu in ((0.3, 0.8), (1.1, -0.4), (0.7, 1.5)):
-            ours = eigenfunction_regular(p, s, eta, mu)
+            ours = eigenfunction_regular(p, eta, mu)
             scale = math.exp(eta * eta) * lambda_pv(p, s, eta)
             want = eta * (1.5 - mu * mu) / (SQPI * (eta - mu))
             assert ours * scale == pytest.approx(want, rel=1e-10)
@@ -146,17 +147,17 @@ class TestNormalization:
 
     def test_origin_limit(self, model):
         # n0 -> rho(0) L0 / lambda = 1 as eta -> 0
-        p, s = model[1.0]
-        data = eigen_data(p, s, 1e-6)
+        p, _ = model[1.0]
+        data = eigen_data(p, 1e-6)
         n0 = data.rho * data.cofactors[0] / data.lambda_pv
         assert n0 == pytest.approx(1.0, abs=1e-5)
 
     def test_moment_parity(self, model):
         # n0, n2 even in eta; n1 odd
-        p, s = model[1.0]
+        p, _ = model[1.0]
         for eta in (0.2, 0.55):
-            dp = eigen_data(p, s, eta)
-            dm = eigen_data(p, s, -eta)
+            dp = eigen_data(p, eta)
+            dm = eigen_data(p, -eta)
             np_ = dp.rho * dp.cofactors / dp.lambda_pv
             nm = dm.rho * dm.cofactors / dm.lambda_pv
             assert np_[0] == pytest.approx(nm[0], rel=1e-12)
@@ -181,7 +182,7 @@ class TestApplyExpansion:
         assert apply_expansion(p, s, exp_, x, mu) == pytest.approx(want, rel=1e-14)
 
     def test_continuum_outside_hull_is_zero(self, model):
-        p, s = model[1.0]
+        p, _ = model[1.0]
         exp_ = expansion_with(p, amplitude=1.0)
         assert exp_.a_of(0.9) == 0.0
         assert exp_.a_of(-0.2) == 0.0
@@ -193,6 +194,17 @@ class TestApplyExpansion:
         h, dh = as_h(p, s, exp_)
         for x in (0.5, 1.0):
             assert residual_2_4(p, s, h, x, dh_dx=dh) < 1e-5
+
+    def test_non_finite_input_rejected(self, model):
+        # DomainError naming the argument, instead of a weight of 0.0 or a
+        # NaN expansion value
+        p, s = model[1.0]
+        nan = float("nan")
+        with pytest.raises(DomainError, match="^mu is not finite"):
+            weight(p, nan)
+        exp_ = expansion_with(p, support=(0.05, 0.35))
+        with pytest.raises(DomainError, match="^x is not finite"):
+            apply_expansion(p, s, exp_, nan, 0.2)
 
     def test_grid_validation(self, model):
         p, _ = model[2.0]  # alpha = 1/2
