@@ -421,13 +421,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: built once at import; parsing does not change it
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, _PARSER)
     except DomainError as exc:
-        parser.error(str(exc))  # exits 2
+        _PARSER.error(str(exc))  # exits 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -203,8 +203,15 @@ def sokhotsky_jump(params: GasParams, x: float) -> SokhotskyJump:
 # argument-principle zero counting
 # ---------------------------------------------------------------------------
 
-def _sample_polyline(vertices: np.ndarray, total: int) -> np.ndarray:
-    """Sample a closed polyline densely; the closing vertex is appended."""
+def _sample_polyline(vertices: np.ndarray, total: int, level: int = 0) -> np.ndarray:
+    """Sample a closed polyline densely; the closing vertex is appended.
+
+    Each segment gets ``k0 = max(2, ceil(total * length / perimeter))``
+    equally spaced points at level 0 and ``k0 * 2**level`` at ``level``.
+    The levels are nested: level L + 1 holds level L, bit for bit, at its
+    even indices (``2j / 2k`` rounds as ``j / k``), so refining a sample
+    needs new points only at the odd indices.
+    """
     v = np.asarray(vertices, dtype=complex)
     if abs(v[0] - v[-1]) > 1e-12:
         v = np.append(v, v[0])
@@ -212,7 +219,7 @@ def _sample_polyline(vertices: np.ndarray, total: int) -> np.ndarray:
     perimeter = seg.sum()
     pts = []
     for z0, z1, ln in zip(v[:-1], v[1:], seg):
-        k = max(2, int(np.ceil(total * ln / perimeter)))
+        k = max(2, int(np.ceil(total * ln / perimeter))) << level
         pts.append(z0 + (z1 - z0) * np.arange(k) / k)
     pts = np.concatenate(pts)
     return np.append(pts, pts[0])
@@ -229,9 +236,12 @@ def count_zeros(params: GasParams, scheme: QuadratureScheme, contour) -> int:
 
     The contour must avoid the cut; lambda is sampled densely along it and
     the winding number of the image curve is tracked with continuous
-    argument unwrapping, from 4096 samples up, doubling the sampling (at
-    most five levels) until the integer is stable and every step turns by
-    less than half a radian.
+    argument unwrapping, from about 4096 samples up, doubling the sampling
+    (at most five levels) until the integer is stable and every step turns
+    by less than half a radian.  The refinement is nested (see
+    :func:`_sample_polyline`): each level keeps the values of the one
+    before and evaluates lambda only at the new midpoints, so every sample
+    point is evaluated once.
 
     Raises
     ------
@@ -244,21 +254,24 @@ def count_zeros(params: GasParams, scheme: QuadratureScheme, contour) -> int:
         raise IllConditionedContourError("contour touches the spectral cut")
 
     prev = None
-    samples = 4096
-    for _ in range(5):
-        pts = _sample_polyline(v, samples)
-        vals = lambda_fn(params, scheme, pts)
+    # lambda at the current level's samples; the closing point repeats the first
+    vals = lambda_fn(params, scheme, _sample_polyline(v, 4096)[:-1])
+    for level in range(5):
+        if level:  # keep the values of the level before, add its midpoints
+            kept, vals = vals, np.empty(2 * vals.size, dtype=complex)
+            vals[0::2] = kept
+            vals[1::2] = lambda_fn(params, scheme, _sample_polyline(v, 4096, level)[1::2])
         if np.min(np.abs(vals)) < 1e-8:
             raise IllConditionedContourError(
                 "lambda smaller than 1e-8 on the contour"
             )
-        w = winding_number(vals)
-        steps = np.abs(np.diff(np.unwrap(np.angle(vals))))
+        closed = np.append(vals, vals[0])
+        w = winding_number(closed)
+        steps = np.abs(np.diff(np.unwrap(np.angle(closed))))
         if abs(w - round(w)) < 0.05 and np.max(steps) < 0.5:
             if prev is not None and round(w) == prev:
                 return int(round(w))
             prev = int(round(w))
-        samples *= 2
     raise IllConditionedContourError("winding number did not stabilize")
 
 
@@ -341,7 +354,8 @@ def laurent_order_at_infinity(params: GasParams, scheme: QuadratureScheme):
     ring = np.exp(1j * th)
     log_r, log_mag = [], []
     for r in radii:
-        vals = lambda_fn(params, scheme, r * ring)
+        z = r * ring
+        vals = lambda_fn(params, scheme, z)
         log_r.append(math.log(r))
         log_mag.append(np.mean(np.log(np.abs(vals))))
     slope, _ = np.polyfit(log_r, log_mag, 1)
@@ -349,6 +363,6 @@ def laurent_order_at_infinity(params: GasParams, scheme: QuadratureScheme):
     k = int(round(order))
     if abs(order - k) > 0.2:
         raise EvaluationError(f"Laurent fit did not converge: slope {order:.3f}")
-    z_big = radii[-1] * ring
-    coeff = np.mean(z_big**k * lambda_fn(params, scheme, z_big))
+    # z and vals are left at the largest radius
+    coeff = np.mean(z**k * vals)
     return k, complex(coeff)

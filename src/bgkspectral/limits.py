@@ -90,6 +90,7 @@ def lambda_c_stable(z):
     route is the production path.
     """
     z = complex(z)
+    require_finite("z", z)
     if z.imag == 0.0:
         raise DomainError("real axis: use lambda_c_boundary / lambda_c_pv")
     t, w = roots_legendre(96)
@@ -302,9 +303,14 @@ def fm_coefficient_vector_dx(sol: FreeMolecularSolution, x) -> np.ndarray:
 
 
 def fm_general_solution(sol: FreeMolecularSolution, x, c):
-    """h(x, C) assembled from the mode decomposition of the derived system."""
+    """h(x, C) assembled from the mode decomposition of the derived system.
+
+    An ``x`` or ``c`` that is not finite raises DomainError.
+    """
     x = np.asarray(x, dtype=float)
     c = np.asarray(c, dtype=float)
+    require_finite("x", x)
+    require_finite("c", c)
     y = fm_coefficient_vector(sol, x)
     b = fm_basis(c)
     val = np.tensordot(y, b, axes=(0, 0))
@@ -347,7 +353,8 @@ def fm_residual(sol: FreeMolecularSolution, x: float) -> float:
 
     |sgn(C) dh/dx + h - int exp(-C'**2)|C'| q1(C, C') h(x, C') dC'| over 32
     speeds in [0.1, 3.5] and their negatives, with the analytic
-    x-derivative.
+    x-derivative.  An ``x`` that is not finite raises DomainError (through
+    :func:`fm_general_solution`).
     """
     g = np.linspace(0.1, 3.5, 32)
     c_grid = np.concatenate([-g[::-1], g])

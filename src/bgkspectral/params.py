@@ -119,8 +119,12 @@ def velocity_map(params: GasParams, mu):
     return c if c.ndim else float(c)
 
 def mu_of(params: GasParams, c):
-    """Inverse of :func:`velocity_map`: mu = C/(1 + a|C|), defined on all of R."""
+    """Inverse of :func:`velocity_map`: mu = C/(1 + a|C|), defined on all of R.
+
+    A ``c`` that is not finite raises DomainError.
+    """
     c = np.asarray(c, dtype=float)
+    require_finite("c", c)
     mu = c / (1.0 + params.a * np.abs(c))
     return mu if mu.ndim else float(mu)
 
@@ -173,9 +177,11 @@ def weight_c(params: GasParams, c):
     """Speed-space weight w(C) = exp(-C**2) * (1 + a|C|).
 
     This is ``rho(mu) * dmu/dC``; every weighted ``mu``-integral in the
-    package is evaluated against ``w`` on the real line.
+    package is evaluated against ``w`` on the real line.  A ``c`` that is
+    not finite raises DomainError.
     """
     c = np.asarray(c, dtype=float)
+    require_finite("c", c)
     w = np.exp(-c * c) * (1.0 + params.a * np.abs(c))
     return w if w.ndim else float(w)
 
@@ -204,9 +210,11 @@ def kernel_q(params: GasParams, mu, mu_prime):
 
 
 def kernel_q_c(params: GasParams, c, c_prime):
-    """Collision kernel expressed in speed variables (no domain restriction)."""
+    """Collision kernel expressed in speed variables (any finite speeds)."""
     c = np.asarray(c, dtype=float)
     cp = np.asarray(c_prime, dtype=float)
+    require_finite("c", c)
+    require_finite("c_prime", cp)
     q = (
         params.r0
         + params.r1 * c * cp

@@ -19,15 +19,18 @@ is embarrassingly parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, EvaluationError
 from .dispersion import _assemble, _cofactors, _det3, _q_tilde
 from .moments import tn_pv_array
 from .params import GasParams, mu_of, require_finite, rho_of_c, velocity_map
 from .quadrature import QuadratureScheme, _sym_sum, integrate_pv, pv_interval
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 
 def discrete_solution(params: GasParams, k: int, x, mu):
@@ -37,7 +40,10 @@ def discrete_solution(params: GasParams, k: int, x, mu):
     The constants 1/2 and 3/2 are independent of the frequency slope: the
     cross moments that would couple them to ``beta`` vanish identically in
     the speed variable, which the residual checker confirms numerically.
+    An ``x`` that is not finite raises DomainError, as ``mu`` outside the
+    cut does.
     """
+    require_finite("x", x)
     c = velocity_map(params, mu)
     if k == 0:
         return np.ones_like(np.asarray(mu, dtype=float)) if np.ndim(mu) else 1.0
@@ -144,6 +150,9 @@ class SpectralExpansion:
             raise DomainError("continuum grid must be strictly increasing")
         if not np.all(np.isfinite(self.a_values)):
             raise DomainError("continuum samples must be finite")
+        # imported here to keep scipy.interpolate out of `import bgkspectral`
+        from scipy.interpolate import CubicSpline
+
         self._spline = CubicSpline(self.eta_grid, self.a_values)
 
     def validate(self, params: GasParams) -> None:

@@ -132,6 +132,30 @@ class TestSpectrumVerify:
         assert {"conservation_number", "laurent_order",
                 "fm_mode_residual_max"} <= {c["check"] for c in rep["checks"]}
 
+    # the zero_count* entries (value, or message of an error entry) of the
+    # report before the zero count refined its samples in place
+    ZERO_COUNTS = {
+        "0": [("zero_count_semicircle", 0.0)],
+        "1e-8": [("zero_count", "lambda smaller than 1e-8 on the contour")],
+        "1e-3": [("zero_count", "lambda smaller than 1e-8 on the contour")],
+        "0.1": [("zero_count_keyhole_1", 0.0), ("zero_count_keyhole_2", 0.0),
+                ("zero_count_keyhole_3", 0.0)],
+        "1": [("zero_count_keyhole_1", 0.0), ("zero_count_keyhole_2", 0.0),
+              ("zero_count_keyhole_3", 0.0)],
+        "10": [("zero_count_keyhole_1", 0.0), ("zero_count_keyhole_2", 0.0),
+               ("zero_count", "lambda smaller than 1e-8 on the contour")],
+        "100": [("zero_count", "lambda smaller than 1e-8 on the contour")],
+        "1e3": [("zero_count", "lambda smaller than 1e-8 on the contour")],
+        "1e5": [("zero_count", "lambda smaller than 1e-8 on the contour")],
+    }
+
+    @pytest.mark.parametrize("a", sorted(ZERO_COUNTS, key=float))
+    def test_zero_count_entries(self, capsys, a):
+        _, out, _ = run_cli(capsys, "spectrum-verify", "--a", a)
+        got = [(c["check"], c["message"] if c["status"] == "error" else c["value"])
+               for c in json.loads(out)["checks"] if c["check"].startswith("zero_count")]
+        assert got == self.ZERO_COUNTS[a]
+
     def test_malformed_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "spectrum-verify", "--a", "-1")

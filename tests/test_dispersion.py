@@ -26,6 +26,7 @@ from bgkspectral import (
     semicircle_contour,
     sokhotsky_jump,
 )
+from bgkspectral import dispersion
 from bgkspectral.cli import main
 from bgkspectral.dispersion import winding_number, _sample_polyline
 from bgkspectral.limits import lambda_a0, lambda_a0_pv
@@ -310,6 +311,36 @@ class TestZeroCounting:
         v = np.array([0, 1, 1 + 1j, 1j], dtype=complex)
         pts = _sample_polyline(v, 64)
         assert pts[0] == pts[-1]
+
+    @pytest.mark.parametrize("shape", ["keyhole", "square"])
+    def test_sampler_levels_nest(self, model, shape):
+        # level L + 1 holds level L, bit for bit, at its even indices
+        if shape == "keyhole":
+            v, total = keyhole_contour(model[1.0][0], 3.0, 2.0), 4096
+        else:
+            v, total = np.array([0, 1, 1 + 1j, 1j], dtype=complex), 64
+        for level in range(4):
+            coarse = _sample_polyline(v, total, level)
+            fine = _sample_polyline(v, total, level + 1)
+            assert fine.size == 2 * coarse.size - 1
+            assert fine[::2].tobytes() == coarse.tobytes()
+
+    def test_count_zeros_evaluates_each_point_once(self, model, monkeypatch):
+        p, s = model[1.0]
+        cont = keyhole_contour(p, 3.0, 2.0)
+        batches = []
+
+        def counting(params, scheme, z):
+            batches.append(np.array(z))
+            return lambda_fn(params, scheme, z)
+
+        monkeypatch.setattr(dispersion, "lambda_fn", counting)
+        assert count_zeros(p, s, cont) == 0
+        # the closing point repeats the first and is not evaluated again
+        final = _sample_polyline(cont, 4096, len(batches) - 1)[:-1]
+        seen = np.concatenate(batches)
+        assert seen.size == final.size
+        assert np.sort(seen).tobytes() == np.sort(final).tobytes()
 
     def test_keyhole_zero_count(self, model):
         p, s = model[1.0]

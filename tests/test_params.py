@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 
 from bgkspectral import (
     DomainError,
+    FreeMolecularSolution,
+    discrete_solution,
+    fm_general_solution,
+    fm_residual,
     kernel_q,
     kernel_q_c,
+    lambda_c_stable,
     make_params,
     mu_of,
     velocity_map,
@@ -208,3 +213,26 @@ class TestConservationClosure:
         assert p.r0 * m0 == pytest.approx(1.0, rel=1e-10)
         assert p.r1 * m2 == pytest.approx(1.0, rel=1e-10)
         assert p.r2 * e2 == pytest.approx(1.0, rel=1e-10)
+
+
+P1 = make_params(1.0)
+FM1 = FreeMolecularSolution(A0=1.0)
+NON_FINITE_CALLS = {
+    "lambda_c_stable": ("z", lambda v: lambda_c_stable(complex(v, 1.0))),
+    "fm_general_solution_x": ("x", lambda v: fm_general_solution(FM1, v, 0.5)),
+    "fm_general_solution_c": ("c", lambda v: fm_general_solution(FM1, 0.5, v)),
+    "fm_residual": ("x", lambda v: fm_residual(FM1, v)),
+    "kernel_q_c": ("c", lambda v: kernel_q_c(P1, v, 0.5)),
+    "kernel_q_c_prime": ("c_prime", lambda v: kernel_q_c(P1, 0.5, v)),
+    "weight_c": ("c", lambda v: weight_c(P1, v)),
+    "mu_of": ("c", lambda v: mu_of(P1, v)),
+    "discrete_solution": ("x", lambda v: discrete_solution(P1, 3, v, 0.1)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_CALLS))
+def test_non_finite_input_rejected(entry, bad):
+    name, call = NON_FINITE_CALLS[entry]
+    with pytest.raises(DomainError, match=f"^{name} is not finite"):
+        call(bad)
