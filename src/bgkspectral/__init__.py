@@ -18,13 +18,11 @@ from .errors import (
 )
 from .params import (
     GasParams,
-    kernel_q,
     kernel_q_c,
     make_params,
     mu_of,
     velocity_map,
     weight,
-    weight_c,
 )
 from .quadrature import (
     QuadratureScheme,
@@ -36,7 +34,6 @@ from .quadrature import (
 from .moments import (
     MomentSet,
     Region,
-    asymptotic_moments,
     moments_at,
     moments_boundary,
     moments_pv,
@@ -45,13 +42,11 @@ from .dispersion import (
     SokhotskyJump,
     count_zeros,
     keyhole_contour,
-    lambda_alpha,
     lambda_boundary,
     lambda_fn,
     lambda_matrix,
     lambda_pv,
     laurent_order_at_infinity,
-    q_tilde,
     semicircle_contour,
     sokhotsky_jump,
 )
@@ -72,7 +67,6 @@ from .limits import (
     FreeMolecularSolution,
     fm_general_solution,
     fm_kernel,
-    fm_modes,
     fm_project_system,
     fm_residual,
     lambda_a0,
@@ -81,29 +75,26 @@ from .limits import (
     lambda_c,
     lambda_c_boundary,
     lambda_c_pv,
-    lambda_c_stable,
 )
 
 __all__ = [
     "DomainError", "EvaluationError", "IllConditionedContourError",
     "WrongRegionError",
     "GasParams", "make_params", "velocity_map", "mu_of",
-    "weight", "weight_c", "kernel_q", "kernel_q_c",
+    "weight", "kernel_q_c",
     "QuadratureScheme", "make_scheme", "integrate_weighted", "integrate_pv",
     "pv_interval",
     "MomentSet", "Region", "moments_at", "moments_pv", "moments_boundary",
-    "asymptotic_moments",
     "SokhotskyJump", "lambda_matrix", "lambda_fn", "lambda_pv", "lambda_boundary",
-    "lambda_alpha",
-    "q_tilde", "sokhotsky_jump", "count_zeros", "laurent_order_at_infinity",
+    "sokhotsky_jump", "count_zeros", "laurent_order_at_infinity",
     "keyhole_contour", "semicircle_contour",
     "EigenData", "SpectralExpansion", "eigen_data", "discrete_solution",
     "discrete_solution_dx", "eigenfunction_regular", "apply_expansion",
     "residual_2_4", "normalization_check",
     "FM_DECAY_RATE", "FM_DECAY_RATE_QUOTED", "FreeMolecularSolution",
-    "fm_kernel", "fm_project_system", "fm_modes", "fm_general_solution",
+    "fm_kernel", "fm_project_system", "fm_general_solution",
     "fm_residual", "lambda_c", "lambda_c_pv", "lambda_c_boundary",
-    "lambda_c_stable", "lambda_a0", "lambda_a0_pv", "lambda_a0_boundary",
+    "lambda_a0", "lambda_a0_pv", "lambda_a0_boundary",
 ]
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ import numpy as np
 from .errors import DomainError, EvaluationError, IllConditionedContourError
 from .moments import (
     MomentSet,
-    Region,
     boundary_jump_array,
     off_cut_points,
     tn_boundary_array,
@@ -125,32 +124,6 @@ def lambda_boundary(params: GasParams, scheme: QuadratureScheme, x, side: str):
     """Boundary values lambda(x +- i0) on the cut; vectorized over x."""
     det = _det3(_assemble(params, tn_boundary_array(params, x, side)))
     return complex(det) if det.ndim == 0 else det
-
-
-def lambda_alpha(params: GasParams, moments: MomentSet, alpha_index: int, eta: float):
-    """Replaced-column determinant: column ``alpha_index`` -> (1, C, C**2).
-
-    ``eta`` must lie inside the cut so the velocity map is defined.
-    """
-    if alpha_index not in (0, 1, 2):
-        raise DomainError(f"column index must be 0, 1 or 2, got {alpha_index}")
-    m = lambda_matrix(params, moments)
-    return complex(_cofactors(m, velocity_map(params, float(eta)))[alpha_index])
-
-
-def q_tilde(params: GasParams, moments: MomentSet, eta: float, mu: float):
-    """Coupling polynomial Q~(eta, mu) built from the cofactor determinants.
-
-    Q~ = r0 L0 + r1 C(mu) L1 + r2 (C(mu)**2 - beta)(L2 - beta L0), with
-    L_a the replaced-column determinants at ``eta``.  Real for real
-    moment data (PV region).
-    """
-    m = lambda_matrix(params, moments)
-    cof = _cofactors(m, velocity_map(params, float(eta)))
-    val = _q_tilde(params, cof, velocity_map(params, mu))
-    if moments.region is Region.ON_CUT_PV:
-        return float(val.real)
-    return complex(val)
 
 
 @dataclass(frozen=True)

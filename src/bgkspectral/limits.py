@@ -4,8 +4,9 @@ Constant frequency (a = 0)
     The dispersion function collapses to
     ``lambda(z) = -1/2 - (z**2 - 3/2) * lambda_c(z)`` with ``lambda_c``
     the classical plasma dispersion function; both are implemented here
-    through the Faddeeva function, with the textbook finite-interval
-    formula kept as a numerical cross-check.
+    through the Faddeeva function.  The textbook finite-interval formula
+    is kept as a numerical cross-check in the tests
+    (``lambda_c_stable`` in ``tests/conftest.py``).
 
 Frequency proportional to speed (a -> infinity)
     The kinetic equation closes exactly on the six-function basis
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import dawsn, roots_legendre, wofz
+from scipy.special import dawsn, wofz
 
 from .errors import DomainError
 from .params import require_finite, side_sign
@@ -79,28 +80,6 @@ def lambda_c_boundary(x, side: str):
     return complex(v) if np.ndim(v) == 0 else v
 
 
-def lambda_c_stable(z):
-    """Finite-interval evaluation of lambda_C, for cross-checking.
-
-    lambda_C(z) = 1 - 2 z**2 int_0^1 exp(-z**2 (1 - t**2)) dt
-                  + sign(Im z) * i sqrt(pi) z exp(-z**2)
-
-    The integral uses 96 Gauss-Legendre nodes.  Accurate for moderate |z|
-    (growth of the integrand limits it to roughly |z| <= 6); the Faddeeva
-    route is the production path.
-    """
-    z = complex(z)
-    require_finite("z", z)
-    if z.imag == 0.0:
-        raise DomainError("real axis: use lambda_c_boundary / lambda_c_pv")
-    t, w = roots_legendre(96)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    integral = np.sum(w * np.exp(-z * z * (1.0 - t * t)))
-    sgn = 1.0 if z.imag > 0 else -1.0
-    return 1.0 - 2.0 * z * z * integral + sgn * 1j * SQRT_PI * z * np.exp(-z * z)
-
-
 def lambda_a0(z):
     """Constant-frequency dispersion function -1/2 - (z**2 - 3/2) lambda_C(z)."""
     z = np.asarray(z, dtype=complex)
@@ -134,9 +113,14 @@ _FM_BASIS_SGN = (0, 1, 0, 1, 0, 1)
 
 
 def fm_kernel(c, c_prime):
-    """Free-molecular collision kernel q1(C, C') = 1 + CC' + (C**2-1)(C'**2-1)."""
+    """Free-molecular collision kernel q1(C, C') = 1 + CC' + (C**2-1)(C'**2-1).
+
+    A ``c`` or ``c_prime`` that is not finite raises DomainError.
+    """
     c = np.asarray(c, dtype=float)
     cp = np.asarray(c_prime, dtype=float)
+    require_finite("c", c)
+    require_finite("c_prime", cp)
     q = 1.0 + c * cp + (c * c - 1.0) * (cp * cp - 1.0)
     return q if q.ndim else float(q)
 
@@ -334,17 +318,15 @@ def fm_collision(sol_values_fn, x):
     """Collision integral of the free-molecular kernel applied to h(x, .).
 
     Returns the triple (K0, K1, K2) so that the integral equals
-    K0 + K1*C + (C**2 - 1)*K2.
+    K0 + K1*C + (C**2 - 1)*K2.  ``sol_values_fn(x, c)`` is called once per
+    half-line.
     """
     nodes, wts = _fm_quad()
-
-    def mom(g):
-        return np.sum(wts * (g(nodes) + g(-nodes)))
-
-    h = lambda c: sol_values_fn(x, c)
-    k0 = mom(h)
-    k1 = mom(lambda c: h(c) * c)
-    k2 = mom(lambda c: h(c) * (c * c - 1.0))
+    hp, hm = sol_values_fn(x, nodes), sol_values_fn(x, -nodes)
+    q = nodes * nodes - 1.0
+    k0 = np.sum(wts * (hp + hm))
+    k1 = np.sum(wts * (hp * nodes - hm * nodes))
+    k2 = np.sum(wts * (hp * q + hm * q))
     return k0, k1, k2
 
 

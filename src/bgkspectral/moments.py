@@ -278,15 +278,3 @@ def moments_boundary(params: GasParams, x: float, side: str) -> MomentSet:
     region = Region.BOUNDARY_PLUS if side_sign(side) > 0 else Region.BOUNDARY_MINUS
     t = tn_boundary_array(params, x, side)
     return MomentSet(point=complex(x), region=region, t=t)
-
-
-def asymptotic_moments(params: GasParams) -> np.ndarray:
-    """The C-moments m_n = int w(C) C**n dC, n = 0..6 (odd ones vanish).
-
-    These are the leading coefficients of the large-|z| expansion
-    t_n(z) -> -m_n; m_{2k} = Gamma(k + 1/2) + a * k!.
-    """
-    m = np.zeros(7)
-    for k in range(0, 7, 2):
-        m[k] = float(gamma((k + 1) / 2)) + params.a * math.factorial(k // 2)
-    return m

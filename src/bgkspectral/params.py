@@ -173,40 +173,11 @@ def weight(params: GasParams, mu):
     return rho if rho.ndim else float(rho)
 
 
-def weight_c(params: GasParams, c):
-    """Speed-space weight w(C) = exp(-C**2) * (1 + a|C|).
-
-    This is ``rho(mu) * dmu/dC``; every weighted ``mu``-integral in the
-    package is evaluated against ``w`` on the real line.  A ``c`` that is
-    not finite raises DomainError.
-    """
-    c = np.asarray(c, dtype=float)
-    require_finite("c", c)
-    w = np.exp(-c * c) * (1.0 + params.a * np.abs(c))
-    return w if w.ndim else float(w)
-
-
 def rho_of_c(params: GasParams, c):
     """rho at the transport point whose speed image is ``c``: e^{-C^2}(1+a|C|)^3."""
     c = np.asarray(c, dtype=float)
     r = np.exp(-c * c) * (1.0 + params.a * np.abs(c)) ** 3
     return r if r.ndim else float(r)
-
-
-def kernel_q(params: GasParams, mu, mu_prime):
-    """Collision kernel q(mu, mu') of the transport equation.
-
-    q = r0 + r1*C(mu)*C(mu') + r2*(C(mu)^2 - beta)*(C(mu')^2 - beta);
-    symmetric in its two arguments.
-
-    Raises
-    ------
-    DomainError
-        If either argument lies outside ``(-alpha, alpha)``.
-    """
-    c = velocity_map(params, mu)
-    cp = velocity_map(params, mu_prime)
-    return kernel_q_c(params, c, cp)
 
 
 def kernel_q_c(params: GasParams, c, c_prime):

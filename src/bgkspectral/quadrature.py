@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import dawsn, roots_legendre
 
 from .errors import DomainError, EvaluationError
-from .params import GasParams, mu_of, velocity_map
+from .params import GasParams, mu_of, require_finite, velocity_map
 
 #: panel edges of the half-line rule
 _PANEL_EDGES = (0.0, 0.6, 1.2, 1.8, 2.4, 3.0, 3.6, 4.4, 5.4, 6.8, 8.6)
@@ -181,8 +181,11 @@ def pv_interval(f, lo: float, hi: float, pole: float):
     Gauss-Legendre nodes each, split at the pole, and the
     subtracted constant contributes ``f(pole) * log((hi-pole)/(pole-lo))``
     exactly.  If the pole lies outside ``[lo, hi]`` the integral is
-    ordinary and is computed directly.  ``f`` must accept ndarrays.
+    ordinary and is computed directly.  ``f`` must accept ndarrays.  A
+    ``lo``, ``hi`` or ``pole`` that is not finite raises DomainError.
     """
+    for name, value in (("lo", lo), ("hi", hi), ("pole", pole)):
+        require_finite(name, value)
     if hi <= lo:
         raise DomainError("empty integration interval")
     nodes, wts = gauss_panels(lo, hi, (pole,), 16)  # a pole outside is no breakpoint

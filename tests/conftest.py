@@ -1,11 +1,14 @@
 """Shared fixtures and independent numerical oracles."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate as si
+from scipy.special import gamma, roots_legendre
 
-from bgkspectral import make_params, make_scheme
-from bgkspectral.params import mu_of
+from bgkspectral import DomainError, make_params, make_scheme
+from bgkspectral.params import mu_of, require_finite
 from bgkspectral.quadrature import integrate_weighted
 
 A_GRID = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)
@@ -44,6 +47,40 @@ def quadrature_moments(params, scheme, z):
             scheme, lambda c, n=n: c**n / (c / (1.0 + params.a * np.abs(c)) - z))
         for n in range(5)
     ])
+
+
+def asymptotic_moments(params):
+    """The C-moments m_n = int w(C) C**n dC, n = 0..6 (odd ones vanish).
+
+    These are the leading coefficients of the large-|z| expansion
+    t_n(z) -> -m_n; m_{2k} = Gamma(k + 1/2) + a * k!.
+    """
+    m = np.zeros(7)
+    for k in range(0, 7, 2):
+        m[k] = float(gamma((k + 1) / 2)) + params.a * math.factorial(k // 2)
+    return m
+
+
+def lambda_c_stable(z):
+    """Finite-interval oracle for the plasma dispersion function lambda_C.
+
+    lambda_C(z) = 1 - 2 z**2 int_0^1 exp(-z**2 (1 - t**2)) dt
+                  + sign(Im z) * i sqrt(pi) z exp(-z**2)
+
+    The integral uses 96 Gauss-Legendre nodes.  Accurate for moderate |z|
+    (growth of the integrand limits it to roughly |z| <= 6); the Faddeeva
+    route of ``bgkspectral.lambda_c`` is the production path.
+    """
+    z = complex(z)
+    require_finite("z", z)
+    if z.imag == 0.0:
+        raise DomainError("real axis: use lambda_c_boundary / lambda_c_pv")
+    t, w = roots_legendre(96)
+    t = 0.5 * (t + 1.0)
+    w = 0.5 * w
+    integral = np.sum(w * np.exp(-z * z * (1.0 - t * t)))
+    sgn = 1.0 if z.imag > 0 else -1.0
+    return 1.0 - 2.0 * z * z * integral + sgn * 1j * math.sqrt(math.pi) * z * np.exp(-z * z)
 
 
 def adaptive_pv(params, f, x, lim=8.6):

@@ -22,7 +22,6 @@ from bgkspectral import (
     fm_residual,
     keyhole_contour,
     lambda_c,
-    lambda_c_stable,
     lambda_fn,
     laurent_order_at_infinity,
     make_params,
@@ -38,7 +37,7 @@ from bgkspectral.limits import fm_basis, fm_projection_inner
 from bgkspectral.moments import boundary_jump_array
 from bgkspectral.quadrature import gauss_panels, integrate_weighted
 
-from conftest import smooth_bump
+from conftest import lambda_c_stable, smooth_bump
 
 SQPI = math.sqrt(math.pi)
 A_FULL = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)

@@ -11,8 +11,8 @@ from bgkspectral import (
     Region,
     WrongRegionError,
     count_zeros,
+    eigen_data,
     keyhole_contour,
-    lambda_alpha,
     lambda_boundary,
     lambda_fn,
     lambda_matrix,
@@ -22,13 +22,12 @@ from bgkspectral import (
     moments_at,
     moments_boundary,
     moments_pv,
-    q_tilde,
     semicircle_contour,
     sokhotsky_jump,
 )
 from bgkspectral import dispersion
 from bgkspectral.cli import main
-from bgkspectral.dispersion import winding_number, _sample_polyline
+from bgkspectral.dispersion import _cofactors, _q_tilde, _sample_polyline, winding_number
 from bgkspectral.limits import lambda_a0, lambda_a0_pv
 from bgkspectral.params import velocity_map
 
@@ -193,9 +192,10 @@ class TestCofactors:
         ms = synthetic_moments(p, np.zeros(5), point=0.4)
         eta = 0.4
         c = velocity_map(p, eta)
-        assert lambda_alpha(p, ms, 0, eta) == pytest.approx(1.0)
-        assert lambda_alpha(p, ms, 1, eta) == pytest.approx(c)
-        assert lambda_alpha(p, ms, 2, eta) == pytest.approx(c * c)
+        cof = _cofactors(lambda_matrix(p, ms), c)
+        assert cof[0] == pytest.approx(1.0)
+        assert cof[1] == pytest.approx(c)
+        assert cof[2] == pytest.approx(c * c)
 
     def test_laplace_expansion_equivalence(self, model):
         p, _ = model[0.5]
@@ -206,28 +206,22 @@ class TestCofactors:
             m = lambda_matrix(p, ms)
             c = velocity_map(p, eta)
             col = np.array([1.0, c, c * c])
+            cof = eigen_data(p, eta).cofactors
             for k in range(3):
                 # Laplace expansion along the replaced column
                 want = sum(
                     col[i] * (-1) ** (i + k) * _minor(m, i, k) for i in range(3))
-                got = lambda_alpha(p, ms, k, eta)
-                assert got == pytest.approx(want, rel=1e-12)
+                assert cof[k] == pytest.approx(want, rel=1e-12)
 
     def test_a0_cofactor_identities(self, model):
         # at a = 0 the replaced-column determinants collapse:
         # L0 = 1, L1 = L2 = 0 identically on the cut
         p, _ = model[0.0]
         for eta in (0.3, 0.9, 1.7, -1.1):
-            ms = moments_pv(p, eta)
-            assert lambda_alpha(p, ms, 0, eta) == pytest.approx(1.0, abs=1e-12)
-            assert abs(lambda_alpha(p, ms, 1, eta)) < 1e-12
-            assert abs(lambda_alpha(p, ms, 2, eta)) < 1e-12
-
-    def test_bad_index(self, model):
-        p, _ = model[1.0]
-        ms = moments_pv(p, 0.3)
-        with pytest.raises(DomainError):
-            lambda_alpha(p, ms, 3, 0.3)
+            cof = eigen_data(p, eta).cofactors
+            assert cof[0] == pytest.approx(1.0, abs=1e-12)
+            assert abs(cof[1]) < 1e-12
+            assert abs(cof[2]) < 1e-12
 
 
 def _minor(m, i, k):
@@ -237,30 +231,34 @@ def _minor(m, i, k):
             - m[rows[0], cols[1]] * m[rows[1], cols[0]])
 
 
+def q_tilde_pv(p, eta, mu):
+    """Q~(eta, mu) on the path the eigenfunctions take: PV cofactors at eta."""
+    return _q_tilde(p, eigen_data(p, eta).cofactors, velocity_map(p, mu))
+
+
 class TestQTilde:
     def test_identity_limit_form(self):
         # all t = 0 and eta -> 0: Q~(0, mu) = r0 - beta r2 (C(mu)^2 - beta)
         p = make_params(1.3)
         ms = synthetic_moments(p, np.zeros(5), point=0.0)
+        cof = _cofactors(lambda_matrix(p, ms), velocity_map(p, 0.0))
         for mu in (0.0, 0.2, -0.5):
             c = velocity_map(p, mu)
             want = p.r0 - p.beta * p.r2 * (c * c - p.beta)
-            assert q_tilde(p, ms, 0.0, mu) == pytest.approx(want, rel=1e-14)
+            assert _q_tilde(p, cof, c) == pytest.approx(want, rel=1e-14)
 
     def test_real_on_diagonal(self, model):
         p, _ = model[1.0]
-        ms = moments_pv(p, 0.45)
-        val = q_tilde(p, ms, 0.45, 0.45)
+        val = q_tilde_pv(p, 0.45, 0.45)
         assert isinstance(val, float)
 
     def test_a0_mu_quadratic_form(self, model):
         # at a = 0: Q~(eta, mu) = (3/2 - mu^2)/sqrt(pi), independent of eta
         p, _ = model[0.0]
         for eta in (0.25, 1.1):
-            ms = moments_pv(p, eta)
             for mu in (0.0, 0.7, -1.4):
                 want = (1.5 - mu * mu) / SQPI
-                assert q_tilde(p, ms, eta, mu) == pytest.approx(want, abs=1e-12)
+                assert q_tilde_pv(p, eta, mu) == pytest.approx(want, abs=1e-12)
 
 
 class TestSokhotsky:
@@ -426,14 +424,14 @@ class TestDispersionEval:
         assert det == pytest.approx(lambda_fn(p, s, 1 + 1j), rel=1e-14)
         # the velocity map, and so the replaced column, exists only on the cut
         with pytest.raises(DomainError):
-            lambda_alpha(p, ms, 0, 1.5)
+            eigen_data(p, 1.5)
 
     def test_pv_eval_carries_cofactors(self, model):
         p, s = model[1.0]
         ms = moments_pv(p, 0.3)
         det = np.linalg.det(lambda_matrix(p, ms))
         assert det.real == pytest.approx(lambda_pv(p, s, 0.3), rel=1e-13)
-        assert all(np.isfinite(lambda_alpha(p, ms, k, 0.3)) for k in range(3))
+        assert np.all(np.isfinite(eigen_data(p, 0.3).cofactors))
 
     def test_a0_pv_matches_closed_form(self, model):
         p, s = model[0.0]

@@ -11,7 +11,6 @@ from bgkspectral import (
     FreeMolecularSolution,
     fm_general_solution,
     fm_kernel,
-    fm_modes,
     fm_project_system,
     fm_residual,
     kernel_q_c,
@@ -20,12 +19,19 @@ from bgkspectral import (
     lambda_c,
     lambda_c_boundary,
     lambda_c_pv,
-    lambda_c_stable,
     lambda_fn,
     make_params,
 )
-from bgkspectral.limits import fm_basis, fm_coefficient_vector, fm_projection_inner
+from bgkspectral.limits import (
+    fm_basis,
+    fm_coefficient_vector,
+    fm_collision,
+    fm_modes,
+    fm_projection_inner,
+)
 from bgkspectral.quadrature import gauss_panels
+
+from conftest import lambda_c_stable
 
 SQPI = math.sqrt(math.pi)
 
@@ -239,8 +245,6 @@ class TestGeneralSolution:
             return np.tensordot(y, fm_basis(np.asarray(c, dtype=float)),
                                 axes=(0, 0))
 
-        from bgkspectral.limits import fm_collision
-
         cg = np.linspace(0.1, 3.5, 32)
         cg = np.concatenate([-cg[::-1], cg])
         k0, k1, k2 = fm_collision(h_bad, 0.7)
@@ -263,8 +267,6 @@ class TestGeneralSolution:
             return np.tensordot(bad * math.exp(-sigma * x),
                                 fm_basis(np.asarray(c, dtype=float)), axes=(0, 0))
 
-        from bgkspectral.limits import fm_collision
-
         cg = np.linspace(0.1, 3.5, 32)
         cg = np.concatenate([-cg[::-1], cg])
         k0, k1, k2 = fm_collision(h_bad, 0.5)
@@ -273,6 +275,20 @@ class TestGeneralSolution:
         res = np.max(np.abs(np.sign(cg) * dh + h_bad(0.5, cg)
                             - (k0 + k1 * cg + (cg * cg - 1) * k2)))
         assert res > 1e-3
+
+    def test_collision_evaluates_h_once_per_side(self):
+        # h = 1 (the A1 mode): K0 = int exp(-C^2)|C| dC = 1, K1 = K2 = 0
+        sol = FreeMolecularSolution(A1=1.0)
+        calls = []
+
+        def h(x, c):
+            calls.append(x)
+            return fm_general_solution(sol, x, c)
+
+        k0, k1, k2 = fm_collision(h, 0.6)
+        assert calls == [0.6, 0.6]
+        assert k0 == pytest.approx(1.0, abs=1e-12)
+        assert abs(k1) < 1e-12 and abs(k2) < 1e-12
 
     def test_six_independent_solutions(self):
         # rank check on sampled evaluations of the six unit-coefficient runs

@@ -9,7 +9,6 @@ from bgkspectral import (
     DomainError,
     Region,
     WrongRegionError,
-    asymptotic_moments,
     lambda_a0_boundary,
     lambda_boundary,
     lambda_c_boundary,
@@ -22,7 +21,7 @@ from bgkspectral.moments import tn_offcut_array, tn_pv_array
 from bgkspectral.params import rho_of_c, velocity_map
 from bgkspectral.quadrature import integrate_weighted
 
-from conftest import A_GRID, quadrature_moments
+from conftest import A_GRID, asymptotic_moments, quadrature_moments
 
 SQPI = math.sqrt(math.pi)
 

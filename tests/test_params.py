@@ -12,19 +12,18 @@ from bgkspectral import (
     FreeMolecularSolution,
     discrete_solution,
     fm_general_solution,
+    fm_kernel,
     fm_residual,
-    kernel_q,
     kernel_q_c,
-    lambda_c_stable,
     make_params,
     mu_of,
+    pv_interval,
     velocity_map,
     weight,
-    weight_c,
 )
 from bgkspectral.quadrature import integrate_weighted
 
-from conftest import A_GRID, adaptive_weighted
+from conftest import A_GRID, adaptive_weighted, lambda_c_stable
 
 SQPI = math.sqrt(math.pi)
 
@@ -153,7 +152,8 @@ class TestWeight:
         c = np.linspace(-3, 3, 13)
         mu = mu_of(p, c)
         jac = (1.0 + p.a * np.abs(c)) ** -2
-        assert np.allclose(weight_c(p, c), weight(p, mu) * jac, rtol=1e-13)
+        w_c = np.exp(-c * c) * (1.0 + p.a * np.abs(c))
+        assert np.allclose(w_c, weight(p, mu) * jac, rtol=1e-13)
 
 
 class TestKernel:
@@ -187,11 +187,6 @@ class TestKernel:
                     s, lambda cp: kernel_q_c(p, c_fixed, cp))
                 assert val == pytest.approx(1.0, abs=1e-12)
 
-    def test_domain_validation(self):
-        p = make_params(2.0)
-        with pytest.raises(DomainError):
-            kernel_q(p, 0.1, 0.7)
-
 
 class TestConservationClosure:
     @pytest.mark.parametrize("a", A_GRID)
@@ -224,7 +219,11 @@ NON_FINITE_CALLS = {
     "fm_residual": ("x", lambda v: fm_residual(FM1, v)),
     "kernel_q_c": ("c", lambda v: kernel_q_c(P1, v, 0.5)),
     "kernel_q_c_prime": ("c_prime", lambda v: kernel_q_c(P1, 0.5, v)),
-    "weight_c": ("c", lambda v: weight_c(P1, v)),
+    "fm_kernel": ("c", lambda v: fm_kernel(v, 0.3)),
+    "fm_kernel_prime": ("c_prime", lambda v: fm_kernel(0.3, v)),
+    "pv_interval_lo": ("lo", lambda v: pv_interval(np.cos, v, 1.0, 0.5)),
+    "pv_interval_hi": ("hi", lambda v: pv_interval(np.cos, 0.0, v, 0.5)),
+    "pv_interval_pole": ("pole", lambda v: pv_interval(np.cos, 0.0, 1.0, v)),
     "mu_of": ("c", lambda v: mu_of(P1, v)),
     "discrete_solution": ("x", lambda v: discrete_solution(P1, 3, v, 0.1)),
 }
