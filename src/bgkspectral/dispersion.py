@@ -37,7 +37,7 @@ from .moments import (
     tn_offcut_array,
     tn_pv_array,
 )
-from .params import GasParams, on_cut, rho_of_c, velocity_map
+from .params import GasParams, on_cut, require_finite, rho_of_c, velocity_map
 from .quadrature import QuadratureScheme
 
 
@@ -180,10 +180,11 @@ def _sample_polyline(vertices: np.ndarray, total: int, level: int = 0) -> np.nda
     """Sample a closed polyline densely; the closing vertex is appended.
 
     Each segment gets ``k0 = max(2, ceil(total * length / perimeter))``
-    equally spaced points at level 0 and ``k0 * 2**level`` at ``level``.
-    The levels are nested: level L + 1 holds level L, bit for bit, at its
-    even indices (``2j / 2k`` rounds as ``j / k``), so refining a sample
-    needs new points only at the odd indices.
+    points at level 0 and ``k = k0 * 2**level`` at ``level``.  Point j of
+    z0 -> z1 is ``((k - j) / k) z0 + (j / k) z1``, exact under z -> conj z,
+    z -> -z and reversal: symmetric vertices give samples symmetric bit for
+    bit (up to the sign of zero).  Level L + 1 holds level L bit for bit at
+    its even indices (``2j / 2k`` rounds as ``j / k``).
     """
     v = np.asarray(vertices, dtype=complex)
     if abs(v[0] - v[-1]) > 1e-12:
@@ -193,7 +194,8 @@ def _sample_polyline(vertices: np.ndarray, total: int, level: int = 0) -> np.nda
     pts = []
     for z0, z1, ln in zip(v[:-1], v[1:], seg):
         k = max(2, int(np.ceil(total * ln / perimeter))) << level
-        pts.append(z0 + (z1 - z0) * np.arange(k) / k)
+        j = np.arange(k)
+        pts.append((k - j) / k * z0 + j / k * z1)
     pts = np.concatenate(pts)
     return np.append(pts, pts[0])
 
@@ -202,6 +204,14 @@ def winding_number(values: np.ndarray) -> float:
     """Total unwrapped argument change of a closed sequence, in turns."""
     phase = np.unwrap(np.angle(values))
     return (phase[-1] - phase[0]) / (2.0 * math.pi)
+
+
+def _lambda_by_orbit(params: GasParams, scheme: QuadratureScheme, z):
+    """lambda at ``z`` from the distinct ``|Re z| + i|Im z|``, by lambda(-z) = lambda(z)
+    (even collision frequency) and lambda(conj z) = conj lambda(z) (real weights)."""
+    rep, back = np.unique(np.abs(z.real) + 1j * np.abs(z.imag), return_inverse=True)
+    vals = lambda_fn(params, scheme, rep)[back]
+    return np.where(z.real * z.imag < 0, vals.conj(), vals)
 
 
 def count_zeros(params: GasParams, scheme: QuadratureScheme, contour) -> int:
@@ -213,31 +223,34 @@ def count_zeros(params: GasParams, scheme: QuadratureScheme, contour) -> int:
     (at most five levels) until the integer is stable and every step turns
     by less than half a radian.  The refinement is nested (see
     :func:`_sample_polyline`): each level keeps the values of the one
-    before and evaluates lambda only at the new midpoints, so every sample
-    point is evaluated once.
+    before and adds the new midpoints, with lambda evaluated once per
+    orbit of z -> conj z, -z (:func:`_lambda_by_orbit`).  The samples of
+    :func:`keyhole_contour` and :func:`semicircle_contour` are closed under
+    those maps, so a level costs a quarter or a half of its points.
 
     Raises
     ------
+    DomainError
+        If a contour vertex is not finite.
     IllConditionedContourError
         If the contour touches the cut, lambda drops below 1e-8 on it, or
         the winding fails to stabilize.
     """
     v = np.asarray(contour, dtype=complex)
+    require_finite("contour", v)
     if np.any(on_cut(params, v)):
         raise IllConditionedContourError("contour touches the spectral cut")
 
     prev = None
     # lambda at the current level's samples; the closing point repeats the first
-    vals = lambda_fn(params, scheme, _sample_polyline(v, 4096)[:-1])
+    vals = _lambda_by_orbit(params, scheme, _sample_polyline(v, 4096)[:-1])
     for level in range(5):
         if level:  # keep the values of the level before, add its midpoints
             kept, vals = vals, np.empty(2 * vals.size, dtype=complex)
             vals[0::2] = kept
-            vals[1::2] = lambda_fn(params, scheme, _sample_polyline(v, 4096, level)[1::2])
+            vals[1::2] = _lambda_by_orbit(params, scheme, _sample_polyline(v, 4096, level)[1::2])
         if np.min(np.abs(vals)) < 1e-8:
-            raise IllConditionedContourError(
-                "lambda smaller than 1e-8 on the contour"
-            )
+            raise IllConditionedContourError("lambda smaller than 1e-8 on the contour")
         closed = np.append(vals, vals[0])
         w = winding_number(closed)
         steps = np.abs(np.diff(np.unwrap(np.angle(closed))))
@@ -252,52 +265,37 @@ def keyhole_contour(params: GasParams, half_width: float = 3.0,
                     half_height: float = 2.0) -> np.ndarray:
     """Boundary of the rectangle minus a 1e-2 neighbourhood of the cut.
 
-    A single closed polyline: the outer rectangle traversed
-    counterclockwise, joined through a doubly-traversed corridor along the
-    real axis (off the cut, where lambda is real and analytic) to the
-    stadium around the cut traversed clockwise.  Zero enclosed zeros means
-    the winding vanishes.  Requires a > 0 and half_width > alpha + 2e-2.
+    A single closed polyline: the outer rectangle traversed counterclockwise,
+    joined through a doubly-traversed corridor along the negative real axis
+    (off the cut, where lambda is real and analytic) to the stadium around
+    the cut traversed clockwise.  Zero enclosed zeros means the winding
+    vanishes.  The lower half is the upper half conjugated and reversed, and
+    the left cap is the right one reflected by z -> -conj z: the vertices
+    are closed under z -> conj z, and off the corridor under z -> -conj z.
+    Requires a > 0, finite sizes and half_width > alpha + 2e-2.
     """
     alpha = params.alpha
     if not math.isfinite(alpha):
         raise DomainError("keyhole contour needs a finite cut (a > 0)")
-    d, cap_points = 1e-2, 24
-    if half_width <= alpha + 2 * d:
+    require_finite("half_width", half_width)
+    require_finite("half_height", half_height)
+    d, w, h = 1e-2, half_width, half_height
+    if w <= alpha + 2 * d:
         raise DomainError("rectangle too narrow to clear the cut")
-    w, h = half_width, half_height
-    # stadium around the cut, counterclockwise, starting/ending at (-alpha-d, 0)
-    th_l = np.linspace(math.pi, 1.5 * math.pi, cap_points)
-    cap_left_lower = -alpha + d * np.exp(1j * th_l)
-    th_r = np.linspace(1.5 * math.pi, 2.5 * math.pi, 2 * cap_points)
-    cap_right = alpha + d * np.exp(1j * th_r)
-    th_l2 = np.linspace(0.5 * math.pi, math.pi, cap_points)
-    cap_left_upper = -alpha + d * np.exp(1j * th_l2)
-    stadium_ccw = np.concatenate(
-        [
-            cap_left_lower,
-            np.array([alpha - 1j * d]),
-            cap_right,
-            np.array([-alpha + 1j * d]),
-            cap_left_upper,
-        ]
-    )
-    outer_upper = np.array([w, w + 1j * h, -w + 1j * h, -w])
-    outer_lower = np.array([-w, -w - 1j * h, w - 1j * h, w])
-    corridor_in = np.array([-alpha - d])
-    corridor_out = np.array([-w])
-    # inner boundary runs clockwise: reverse the stadium
-    return np.concatenate(
-        [outer_upper, corridor_in, stadium_ccw[::-1], corridor_out, outer_lower]
-    )
+    # upper right cap, clockwise from alpha + i d to alpha + d
+    cap = alpha + d * np.exp(1j * np.linspace(0.5 * math.pi, 0.0, 24))
+    upper = np.concatenate([[w, w + 1j * h, -w + 1j * h, -w], -np.conj(cap[::-1]), cap])
+    return np.concatenate([upper, np.conj(upper[-2::-1])])
 
 
 def semicircle_contour() -> np.ndarray:
     """Closed upper-half-plane contour: a radius-6 half-circle, 64 arc points,
-    on a base 1e-2 above the real axis."""
+    on a base 1e-2 above the real axis.  Its right quarter is reflected by
+    z -> -conj z, so the vertices are closed under that map."""
     radius, base_im = 6.0, 1e-2
-    th = np.linspace(0.0, math.pi, 64)
-    arc = radius * np.exp(1j * th) + 1j * base_im
-    return np.concatenate([np.array([-radius + 1j * base_im]), arc])
+    arc = radius * np.exp(1j * np.linspace(0.0, math.pi, 64)[:32]) + 1j * base_im
+    right = np.concatenate([[1j * base_im], arc])
+    return np.concatenate([right, -np.conj(right[::-1])])
 
 
 def laurent_order_at_infinity(params: GasParams, scheme: QuadratureScheme):

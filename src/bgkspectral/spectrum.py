@@ -236,8 +236,9 @@ def residual_2_4(params: GasParams, scheme: QuadratureScheme, h, x: float,
     taken by central differences with step 1e-5 unless an analytic
     ``dh_dx(x, mu)`` is supplied.  The test grid is the image of 64
     uniformly spaced speeds in [-3.5, 3.5], which keeps it strictly
-    inside the cut for every slope.
+    inside the cut for every slope.  A non-finite ``x`` raises DomainError.
     """
+    require_finite("x", x)
     mu_grid = mu_of(params, np.linspace(-3.5, 3.5, 64))
     c_grid = np.asarray(velocity_map(params, mu_grid), dtype=float)
 

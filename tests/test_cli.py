@@ -133,19 +133,26 @@ class TestSpectrumVerify:
                 "fm_mode_residual_max"} <= {c["check"] for c in rep["checks"]}
 
     # the zero_count* entries (value, or message of an error entry) of the
-    # report before the zero count refined its samples in place
+    # report before the zero count refined its samples in place and
+    # evaluated lambda once per symmetry orbit
+    _KEYHOLES_ZERO = [("zero_count_keyhole_1", 0.0), ("zero_count_keyhole_2", 0.0),
+                      ("zero_count_keyhole_3", 0.0)]
     ZERO_COUNTS = {
         "0": [("zero_count_semicircle", 0.0)],
         "1e-8": [("zero_count", "lambda smaller than 1e-8 on the contour")],
         "1e-3": [("zero_count", "lambda smaller than 1e-8 on the contour")],
-        "0.1": [("zero_count_keyhole_1", 0.0), ("zero_count_keyhole_2", 0.0),
-                ("zero_count_keyhole_3", 0.0)],
-        "1": [("zero_count_keyhole_1", 0.0), ("zero_count_keyhole_2", 0.0),
-              ("zero_count_keyhole_3", 0.0)],
+        "0.05": _KEYHOLES_ZERO,
+        "0.1": _KEYHOLES_ZERO,
+        "0.5": _KEYHOLES_ZERO,
+        "1": _KEYHOLES_ZERO,
+        "2": _KEYHOLES_ZERO,
+        "5": _KEYHOLES_ZERO,
         "10": [("zero_count_keyhole_1", 0.0), ("zero_count_keyhole_2", 0.0),
                ("zero_count", "lambda smaller than 1e-8 on the contour")],
         "100": [("zero_count", "lambda smaller than 1e-8 on the contour")],
+        "170": [("zero_count", "lambda smaller than 1e-8 on the contour")],
         "1e3": [("zero_count", "lambda smaller than 1e-8 on the contour")],
+        "1e4": [("zero_count", "lambda smaller than 1e-8 on the contour")],
         "1e5": [("zero_count", "lambda smaller than 1e-8 on the contour")],
     }
 

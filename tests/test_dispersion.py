@@ -19,6 +19,7 @@ from bgkspectral import (
     lambda_pv,
     laurent_order_at_infinity,
     make_params,
+    make_scheme,
     moments_at,
     moments_boundary,
     moments_pv,
@@ -32,6 +33,11 @@ from bgkspectral.limits import lambda_a0, lambda_a0_pv
 from bgkspectral.params import velocity_map
 
 SQPI = math.sqrt(math.pi)
+
+
+def _canonical(z):
+    """Sorted bytes of a point set, with -0.0 read as +0.0."""
+    return np.sort(z + 0).tobytes()
 
 
 def synthetic_moments(params, t_values, point=0.0, region=Region.ON_CUT_PV):
@@ -133,6 +139,24 @@ class TestLambdaFunction:
                 assert lambda_fn(p, s, np.conj(z)) == pytest.approx(
                     np.conj(lam), rel=1e-12)
                 assert lambda_fn(p, s, -z) == pytest.approx(lam, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [0.0, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e5])
+    def test_orbit_symmetry_batched(self, a):
+        # the weights are real and the collision frequency is even in C:
+        # lambda(conj z) = conj lambda(z) and lambda(-z) = lambda(z), which
+        # the zero counter uses to evaluate one point per orbit
+        p = make_params(a)
+        s = make_scheme(p)
+        rng = np.random.default_rng(8)
+        scale = min(p.alpha, 1.0)
+        z = np.concatenate([
+            10 ** rng.uniform(-3, 3, 400) * np.exp(1j * rng.uniform(0.01, 1.56, 400)),
+            scale * (rng.uniform(0, 1.5, 200) + 1j * 10 ** rng.uniform(-6, 0, 200)),
+        ])
+        lam = lambda_fn(p, s, z)
+        for image, want in ((np.conj(z), np.conj(lam)), (-z, lam),
+                            (-np.conj(z), np.conj(lam))):
+            assert np.max(np.abs(lambda_fn(p, s, image) - want) / np.abs(lam)) <= 1e-13
 
     def test_real_beyond_cut(self, model):
         p, s = model[1.0]
@@ -323,7 +347,25 @@ class TestZeroCounting:
             assert fine.size == 2 * coarse.size - 1
             assert fine[::2].tobytes() == coarse.tobytes()
 
-    def test_count_zeros_evaluates_each_point_once(self, model, monkeypatch):
+    @pytest.mark.parametrize("a", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("hw, hh", [(3.0, 2.0), (5.0, 3.0), (8.0, 5.0)])
+    def test_keyhole_samples_closed_under_symmetries(self, a, hw, hh):
+        # z -> conj z everywhere; z -> -conj z off the corridor, which runs
+        # along the negative real axis only
+        p = make_params(a)
+        cont = keyhole_contour(p, max(hw, p.alpha + 0.5), hh)
+        for level in range(4):
+            pts = _sample_polyline(cont, 4096, level)[:-1]
+            assert _canonical(np.conj(pts)) == _canonical(pts)
+            off_axis = pts[pts.imag != 0]
+            assert _canonical(-np.conj(off_axis)) == _canonical(off_axis)
+
+    def test_semicircle_samples_closed_under_reflection(self):
+        for level in range(4):
+            pts = _sample_polyline(semicircle_contour(), 4096, level)[:-1]
+            assert _canonical(-np.conj(pts)) == _canonical(pts)
+
+    def test_count_zeros_evaluates_each_orbit_once(self, model, monkeypatch):
         p, s = model[1.0]
         cont = keyhole_contour(p, 3.0, 2.0)
         batches = []
@@ -334,11 +376,25 @@ class TestZeroCounting:
 
         monkeypatch.setattr(dispersion, "lambda_fn", counting)
         assert count_zeros(p, s, cont) == 0
-        # the closing point repeats the first and is not evaluated again
+        # one point per orbit of z -> conj z, -z of the final level's samples
+        # (the closing point repeats the first), each evaluated once
         final = _sample_polyline(cont, 4096, len(batches) - 1)[:-1]
+        orbits = np.unique(np.abs(final.real) + 1j * np.abs(final.imag))
         seen = np.concatenate(batches)
-        assert seen.size == final.size
-        assert np.sort(seen).tobytes() == np.sort(final).tobytes()
+        assert np.sort(seen).tobytes() == orbits.tobytes()
+        assert seen.size < 0.35 * final.size
+
+    def test_orbit_values_count_known_zeros(self, model, monkeypatch):
+        # a stand-in for lambda with its symmetries, f(conj z) = conj f(z) and
+        # f(-z) = f(z), and zeros at +-z0, +-conj z0: a wrong orbit lookup
+        # (say, a missing conjugation) changes both counts
+        p, s = model[1.0]
+        z0 = 1.5 + 1.0j
+        monkeypatch.setattr(dispersion, "lambda_fn",
+                            lambda params, scheme, z: (z * z - z0 * z0) * (z * z - np.conj(z0 * z0)))
+        assert count_zeros(p, s, keyhole_contour(p, 3.0, 2.0)) == 4
+        circle = -np.conj(z0) + 0.25 * np.exp(1j * np.linspace(0, 2 * math.pi, 64, endpoint=False))
+        assert count_zeros(p, s, circle) == 1
 
     def test_keyhole_zero_count(self, model):
         p, s = model[1.0]

@@ -10,14 +10,18 @@ from hypothesis import strategies as st
 from bgkspectral import (
     DomainError,
     FreeMolecularSolution,
+    count_zeros,
     discrete_solution,
     fm_general_solution,
     fm_kernel,
     fm_residual,
     kernel_q_c,
+    keyhole_contour,
     make_params,
+    make_scheme,
     mu_of,
     pv_interval,
+    residual_2_4,
     velocity_map,
     weight,
 )
@@ -211,6 +215,7 @@ class TestConservationClosure:
 
 
 P1 = make_params(1.0)
+S1 = make_scheme(P1)
 FM1 = FreeMolecularSolution(A0=1.0)
 NON_FINITE_CALLS = {
     "lambda_c_stable": ("z", lambda v: lambda_c_stable(complex(v, 1.0))),
@@ -226,6 +231,11 @@ NON_FINITE_CALLS = {
     "pv_interval_pole": ("pole", lambda v: pv_interval(np.cos, 0.0, 1.0, v)),
     "mu_of": ("c", lambda v: mu_of(P1, v)),
     "discrete_solution": ("x", lambda v: discrete_solution(P1, 3, v, 0.1)),
+    "keyhole_contour_width": ("half_width", lambda v: keyhole_contour(P1, v)),
+    "keyhole_contour_height": ("half_height", lambda v: keyhole_contour(P1, 3.0, v)),
+    "count_zeros": ("contour", lambda v: count_zeros(
+        P1, S1, np.array([complex(v, 1.0), 2 + 1j, -2 + 1j]))),
+    "residual_2_4": ("x", lambda v: residual_2_4(P1, S1, lambda x, mu: np.ones_like(mu), v)),
 }
 
 
