@@ -190,20 +190,19 @@ def _sample_polyline(vertices: np.ndarray, total: int, level: int = 0) -> np.nda
     if abs(v[0] - v[-1]) > 1e-12:
         v = np.append(v, v[0])
     seg = np.abs(np.diff(v))
-    perimeter = seg.sum()
-    pts = []
-    for z0, z1, ln in zip(v[:-1], v[1:], seg):
-        k = max(2, int(np.ceil(total * ln / perimeter))) << level
-        j = np.arange(k)
-        pts.append((k - j) / k * z0 + j / k * z1)
-    pts = np.concatenate(pts)
+    k = np.maximum(2, np.ceil(total * seg / seg.sum()).astype(np.int64)) << level
+    starts = np.cumsum(k) - k
+    j = np.arange(k.sum()) - np.repeat(starts, k)
+    k, z0, z1 = np.repeat(k, k), np.repeat(v[:-1], k), np.repeat(v[1:], k)
+    pts = (k - j) / k * z0 + j / k * z1
     return np.append(pts, pts[0])
 
 
-def winding_number(values: np.ndarray) -> float:
-    """Total unwrapped argument change of a closed sequence, in turns."""
+def winding_number(values: np.ndarray) -> tuple[float, float]:
+    """Total argument change of a closed sequence, in turns, and the largest
+    step, in radians, both read from one continuous unwrapping."""
     phase = np.unwrap(np.angle(values))
-    return (phase[-1] - phase[0]) / (2.0 * math.pi)
+    return (phase[-1] - phase[0]) / (2.0 * math.pi), np.max(np.abs(np.diff(phase)))
 
 
 def _lambda_by_orbit(params: GasParams, scheme: QuadratureScheme, z):
@@ -251,10 +250,8 @@ def count_zeros(params: GasParams, scheme: QuadratureScheme, contour) -> int:
             vals[1::2] = _lambda_by_orbit(params, scheme, _sample_polyline(v, 4096, level)[1::2])
         if np.min(np.abs(vals)) < 1e-8:
             raise IllConditionedContourError("lambda smaller than 1e-8 on the contour")
-        closed = np.append(vals, vals[0])
-        w = winding_number(closed)
-        steps = np.abs(np.diff(np.unwrap(np.angle(closed))))
-        if abs(w - round(w)) < 0.05 and np.max(steps) < 0.5:
+        w, step = winding_number(np.append(vals, vals[0]))
+        if abs(w - round(w)) < 0.05 and step < 0.5:
             if prev is not None and round(w) == prev:
                 return int(round(w))
             prev = int(round(w))

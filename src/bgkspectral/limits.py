@@ -155,7 +155,7 @@ def fm_projection_inner(i: int, j: int, extra_sgn: int = 0) -> float:
     """
     pi_, si = _FM_BASIS_POLY[i], _FM_BASIS_SGN[i]
     pj, sj = _FM_BASIS_POLY[j], _FM_BASIS_SGN[j]
-    prod = np.polymul(pi_[::-1], pj[::-1])[::-1]
+    prod = np.convolve(pi_, pj)
     sgn = (si + sj + extra_sgn) % 2
     if sgn:
         return sum(c * _gauss_moment(m + 1) for m, c in enumerate(prod))

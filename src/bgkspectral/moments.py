@@ -13,9 +13,9 @@ exactly:
     C > 0:   1/(mu(C) - z) = (1 + aC) / ((1 - az) (C - Z+)),  Z+ = z/(1-az)
     C < 0:   1/(mu(C) - z) = (1 - aC) / ((1 + az) (C - Z-)),  Z- = z/(1+az)
 
-Each half-line piece is then a Gaussian-weighted Cauchy transform of a
-low-degree polynomial and reduces, via synthetic division, to exact
-half-line Gaussian moments plus the single special function
+Each half-line piece is then a Gaussian-weighted Cauchy transform J_n of
+p_n(C) = C**n (1+aC)**2; one synthetic division of p_4 reduces all five to
+exact half-line Gaussian moments plus multiples of the special function
 
     Phi(Z) = int_0^inf exp(-t**2) / (t - Z) dt,
 
@@ -108,28 +108,28 @@ def _phi_halfline(z):
     return 0.5 * (full + half)
 
 
-def _cauchy_halfline_poly(a: float, n: int, z, phi_z):
-    """int_0^inf exp(-C**2)(1+aC)**2 C**n / (C - Z) dC for |Z| < _SERIES_RADIUS.
+def _cauchy_halfline_poly(a: float, z, phi_z):
+    """Yield J_n = int_0^inf exp(-C**2) C**n (1+aC)**2 / (C - Z) dC, n = 0..4,
+    for |Z| < _SERIES_RADIUS; ``phi_z`` holds Phi(Z) (ordinary or PV).
 
-    ``phi_z`` must hold Phi(Z) (ordinary or PV, matching the caller's
-    intent).  Synthetic division reduces the transform to half-line
-    Gaussian moments plus p(Z)*Phi(Z); the two cancel more as |Z| grows.
+    Synthetic division of p_4(C) = C**4 (1+aC)**2 reduces each J_n to
+    half-line Gaussian moments (over the top n + 2 quotient coefficients)
+    plus p_n(Z)*Phi(Z); the two cancel more as |Z| grows.
     """
-    p = np.zeros(n + 3)
-    p[n], p[n + 1], p[n + 2] = 1.0, 2.0 * a, a * a
-    d = n + 2
-    # synthetic division: (p(C) - p(Z))/(C - Z) = sum b_k C**k
-    b = np.empty((d,) + z.shape, dtype=complex)
-    b[d - 1] = p[d]
-    for j in range(d - 1, 0, -1):
-        b[j - 1] = p[j] + z * b[j]
-    moment_part = np.tensordot(_HALF_MOMENTS[:d], b, axes=(0, 0))
+    # (p_4(C) - p_4(Z))/(C - Z) = sum b_k C**k
+    b = np.empty((6,) + z.shape, dtype=complex)
+    b[5] = a * a
+    for j, c in zip(range(5, 0, -1), (2.0 * a, 1.0, 0.0, 0.0, 0.0)):
+        b[j - 1] = c + z * b[j]
     p_at_z = np.zeros_like(z)
-    for c in p[::-1]:
+    for c in (a * a, 2.0 * a, 1.0):
         p_at_z = p_at_z * z + c
-    # a fresh copy, as when the outputs were pinned: from 16384 points on numpy
-    # reuses it in place, forming phi * p, which rounds unlike p * phi
-    return moment_part + p_at_z * phi_z.copy()
+    for n in range(5):
+        # a fresh copy, as when the outputs were pinned: from 16384 points on
+        # numpy reuses it in place, forming phi * p, which rounds unlike p * phi
+        yield (np.tensordot(_HALF_MOMENTS[:n + 2], b[4 - n:], axes=(0, 0))
+               + p_at_z * phi_z.copy())
+        p_at_z = p_at_z * z + 0.0  # p_{n+1}(Z)
 
 
 def _cauchy_halfline_series(a: float, z) -> np.ndarray:
@@ -179,8 +179,9 @@ def _cauchy_halfline(a: float, z: np.ndarray) -> np.ndarray:
         phi = _phi_halfline(zs)
         if real:
             phi = phi.real
-        for n in range(5):
-            out[n, near] = _cauchy_halfline_poly(a, n, zs, phi)
+        rows = _cauchy_halfline_poly(a, zs, phi)
+        for n in range(5):  # each row freed once stored
+            out[n, near] = next(rows)
     out = out.reshape((5,) + z.shape)
     return out.real if real else out
 

@@ -13,6 +13,9 @@ from bgkspectral.quadrature import integrate_weighted
 
 A_GRID = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)
 
+#: int_0^inf t**k exp(-t**2) dt = Gamma((k+1)/2)/2, k = 0..5
+HALF_MOMENTS = np.array([float(gamma((k + 1) / 2)) / 2.0 for k in range(6)])
+
 
 @pytest.fixture(scope="session")
 def model():
@@ -47,6 +50,26 @@ def quadrature_moments(params, scheme, z):
             scheme, lambda c, n=n: c**n / (c / (1.0 + params.a * np.abs(c)) - z))
         for n in range(5)
     ])
+
+
+def cauchy_halfline_poly_oracle(a, n, z, phi_z):
+    """One J_n by its own synthetic division of p_n(C) = C**n (1+aC)**2.
+
+    ``moments._cauchy_halfline_poly`` shares one division of p_4 among all
+    five J_n and must agree with this bit for bit.
+    """
+    p = np.zeros(n + 3)
+    p[n], p[n + 1], p[n + 2] = 1.0, 2.0 * a, a * a
+    d = n + 2
+    b = np.empty((d,) + z.shape, dtype=complex)
+    b[d - 1] = p[d]
+    for j in range(d - 1, 0, -1):
+        b[j - 1] = p[j] + z * b[j]
+    moment_part = np.tensordot(HALF_MOMENTS[:d], b, axes=(0, 0))
+    p_at_z = np.zeros_like(z)
+    for c in p[::-1]:
+        p_at_z = p_at_z * z + c
+    return moment_part + p_at_z * phi_z.copy()
 
 
 def asymptotic_moments(params):

@@ -342,3 +342,28 @@ def test_readme_digests_match_benchmark_table():
                  if isinstance(node, ast.Assign)
                  and any(getattr(t, "id", None) == "README_COMMANDS" for t in node.targets))
     assert ast.literal_eval(table) == README_DIGESTS
+
+
+#: sha256 of ``spectrum-verify --a A --out PATH`` at the benchmark's slopes,
+#: exit codes included (1 where a check fails, see ROADMAP items 2 and 4).
+#: Speed-ups must leave these bytes alone; a fix that moves a report re-pins
+#: its digest with a stated reason.
+VERIFY_DIGESTS = {
+    "0": ("9fd0779fd047a5dfe30ba1d5b527935b8161dd2a1d3a833f45e84be481c4e370", 0),
+    "1e-8": ("5364e8a2de2dc1e4636f8bedaa0e96fbe1e7aa3fc7be3169dea6653061606d87", 1),
+    "1e-3": ("63531614bdc9a5202e44638380ea9f220e6aa0a66ee083900cf35c643d66c4d9", 1),
+    "0.1": ("2d446164c774ea40ff896806d5743ea1c5260b929ce8ff57cd6a41a99b0cebc0", 0),
+    "1": ("d6dbdb38b52f65bd3cb95f5076a79c7a25f22d2a5144639a9caaf235e21da2c0", 0),
+    "10": ("df74832ad94732c9486cb49983a9956f8d318a1f3079119005a5584f17e6ec93", 1),
+    "100": ("2a3e3352c0e1fa1013d38545ce0577627131563c5b041dc00b5959c1968c1977", 1),
+    "1e3": ("f6f445c595efb066de98264659b5a9512308143bdcdaea719e219d396f7dbdce", 1),
+    "1e5": ("41af61400914e02e0b90eebfae50b656c3e4de3cb85f7b8d3122e51b0248b11b", 1),
+}
+
+
+@pytest.mark.parametrize("a", list(VERIFY_DIGESTS))
+def test_spectrum_verify_report_golden(a, tmp_path):
+    path = tmp_path / "report.json"
+    digest, code = VERIFY_DIGESTS[a]
+    assert main(["spectrum-verify", "--a", a, "--out", str(path)]) == code
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -322,12 +322,48 @@ class TestSokhotsky:
         assert v.imag == pytest.approx(0.326, abs=1e-3)
 
 
+def _sample_polyline_loop(vertices, total, level=0):
+    """The per-segment loop form of ``_sample_polyline``, as an oracle."""
+    v = np.asarray(vertices, dtype=complex)
+    if abs(v[0] - v[-1]) > 1e-12:
+        v = np.append(v, v[0])
+    seg = np.abs(np.diff(v))
+    perimeter = seg.sum()
+    pts = []
+    for z0, z1, ln in zip(v[:-1], v[1:], seg):
+        k = max(2, int(np.ceil(total * ln / perimeter))) << level
+        j = np.arange(k)
+        pts.append((k - j) / k * z0 + j / k * z1)
+    pts = np.concatenate(pts)
+    return np.append(pts, pts[0])
+
+
+def _oracle_contours():
+    for a in (0.1, 1.0, 10.0, 1e3):
+        p = make_params(a)
+        for hw, hh in ((3.0, 2.0), (5.0, 3.0), (8.0, 5.0)):  # the CLI's keyholes
+            yield f"keyhole-a{a:g}-{hw:g}x{hh:g}", keyhole_contour(p, max(hw, p.alpha + 0.5), hh)
+    yield "semicircle", semicircle_contour()
+    polygon = np.array([0, 2, 2.5 + 1j, 0.3 + 1.7j, -0.4 + 0.6j])
+    yield "polygon-open", polygon
+    yield "polygon-closed", np.append(polygon, polygon[0])
+
+
 class TestZeroCounting:
     def test_winding_oracle_synthetic(self):
-        # (z - 0.5)^3 on the unit circle winds three times
+        # (z - 0.5)^3 on the unit circle winds three times; its argument turns
+        # fastest at z = 1, by 3 / |1 - 0.5| = 6 per radian of the circle
         th = np.linspace(0, 2 * math.pi, 4097)
         vals = (np.exp(1j * th) - 0.5) ** 3
-        assert winding_number(vals) == pytest.approx(3.0, abs=1e-6)
+        turns, step = winding_number(vals)
+        assert turns == pytest.approx(3.0, abs=1e-6)
+        assert step == pytest.approx(6.0 * th[1], rel=1e-5)
+
+    @pytest.mark.parametrize("contour", [pytest.param(c, id=name) for name, c in _oracle_contours()])
+    def test_sampler_matches_loop_form(self, contour):
+        for level in range(5):
+            assert (_sample_polyline(contour, 4096, level).tobytes()
+                    == _sample_polyline_loop(contour, 4096, level).tobytes()), level
 
     def test_sampler_closes_polyline(self):
         v = np.array([0, 1, 1 + 1j, 1j], dtype=complex)

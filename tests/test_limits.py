@@ -22,6 +22,7 @@ from bgkspectral import (
     lambda_fn,
     make_params,
 )
+from bgkspectral import limits
 from bgkspectral.limits import (
     fm_basis,
     fm_coefficient_vector,
@@ -192,6 +193,24 @@ class TestProjectedSystem:
                     fm_projection_inner(i, j), abs=1e-12)
                 assert sgn == pytest.approx(
                     fm_projection_inner(i, j, extra_sgn=1), abs=1e-12)
+
+    def test_projection_tables_match_polymul_form(self):
+        # np.convolve of the coefficient lists, lowest degree first, gives
+        # the same 6x6 tables bit for bit as the polymul round trip through
+        # reversed (highest degree first) lists
+        for extra in (0, 1):
+            got = np.array([[fm_projection_inner(i, j, extra_sgn=extra) for j in range(6)]
+                            for i in range(6)])
+            want = np.empty((6, 6))
+            for i in range(6):
+                for j in range(6):
+                    pi_, pj = limits._FM_BASIS_POLY[i], limits._FM_BASIS_POLY[j]
+                    prod = np.polymul(pi_[::-1], pj[::-1])[::-1]
+                    odd = (limits._FM_BASIS_SGN[i] + limits._FM_BASIS_SGN[j] + extra) % 2
+                    moment = ((lambda m: limits._gauss_moment(m + 1)) if odd
+                              else limits._half_moment)
+                    want[i, j] = sum(c * moment(m) for m, c in enumerate(prod))
+            assert got.tobytes() == want.tobytes(), extra
 
     def test_eigenvalues(self):
         ev = np.sort(np.linalg.eigvals(fm_project_system()).real)

@@ -17,11 +17,17 @@ from bgkspectral import (
     moments_boundary,
     moments_pv,
 )
-from bgkspectral.moments import tn_offcut_array, tn_pv_array
+from bgkspectral.moments import (
+    _SERIES_RADIUS,
+    _cauchy_halfline_poly,
+    _phi_halfline,
+    tn_offcut_array,
+    tn_pv_array,
+)
 from bgkspectral.params import rho_of_c, velocity_map
 from bgkspectral.quadrature import integrate_weighted
 
-from conftest import A_GRID, asymptotic_moments, quadrature_moments
+from conftest import A_GRID, asymptotic_moments, cauchy_halfline_poly_oracle, quadrature_moments
 
 SQPI = math.sqrt(math.pi)
 
@@ -267,3 +273,20 @@ def test_t4_just_past_s_40_matches_mpmath(a, x):
                   (complex(x, 1e-9), tn_offcut_array(p, complex(x, 1e-9))[4])):
         ref = mpmath_moments(a, z)[4]
         assert abs(t4 - ref) <= 1e-9 * abs(ref), z
+
+
+@pytest.mark.parametrize("size", [1, 7, 1000, 16384, 20000])
+@pytest.mark.parametrize("a", [0.0, 1e-8, 1.0, 100.0, 1e5])
+def test_one_division_matches_per_n_division(a, size):
+    # J_0..J_4 from one division of p_4 equal five separate divisions bit for
+    # bit, for PV (real) and complex Z, below and above numpy's 16384-point
+    # temporary elision threshold
+    rng = np.random.default_rng(size)
+    x = rng.uniform(-_SERIES_RADIUS, _SERIES_RADIUS, size)
+    z = x * np.exp(1j * rng.uniform(-math.pi, math.pi, size))
+    for zs, pv in ((x.astype(complex), True), (z, False)):
+        phi = _phi_halfline(zs)
+        if pv:
+            phi = phi.real
+        for n, j in enumerate(_cauchy_halfline_poly(a, zs, phi)):
+            assert j.tobytes() == cauchy_halfline_poly_oracle(a, n, zs, phi).tobytes(), (pv, n)
