@@ -42,10 +42,10 @@ from .quadrature import QuadratureScheme
 
 
 def _assemble(params: GasParams, t: np.ndarray) -> np.ndarray:
-    """Apply the assembly rule to a stack of t-values (shape (5,) + tail)."""
+    """Apply the assembly rule to t-values (shape (5,) + tail), in their dtype."""
     beta, r0, r1, r2 = params.beta, params.r0, params.r1, params.r2
     tail = t.shape[1:]
-    m = np.zeros((3, 3) + tail, dtype=complex)
+    m = np.zeros((3, 3) + tail, dtype=t.dtype)
     for row in range(3):
         m[row, 0] = (r0 + beta**2 * r2) * t[row] - beta * r2 * t[row + 2]
         m[row, 1] = r1 * t[row + 1]
@@ -76,7 +76,7 @@ def _cofactors(matrix: np.ndarray, c) -> np.ndarray:
     """
     c = np.asarray(c, dtype=float)
     col = np.stack([np.ones_like(c), c, c * c])
-    out = np.empty((3,) + c.shape, dtype=complex)
+    out = np.empty((3,) + c.shape, dtype=matrix.dtype)
     for k in range(3):
         m = matrix.copy()
         m[:, k] = col
@@ -115,8 +115,7 @@ def lambda_pv(params: GasParams, scheme: QuadratureScheme, x):
     matrix is rank one, so the even part of the determinant is the PV
     determinant).
     """
-    t = tn_pv_array(params, np.asarray(x, dtype=float)).astype(complex)
-    det = _det3(_assemble(params, t)).real
+    det = _det3(_assemble(params, tn_pv_array(params, np.asarray(x, dtype=float))))
     return float(det) if det.ndim == 0 else det
 
 
@@ -149,13 +148,13 @@ class SokhotskyJump:
 def sokhotsky_jump(params: GasParams, x: float) -> SokhotskyJump:
     """Boundary values of lambda on the cut and their jump diagnostics."""
     x = float(x)
-    t_pv = tn_pv_array(params, x).astype(complex)
+    t_pv = tn_pv_array(params, x)
     half_jump = boundary_jump_array(params, x)
     lp = complex(_det3(_assemble(params, t_pv + half_jump)))
     lm = complex(_det3(_assemble(params, t_pv - half_jump)))
     m_pv = _assemble(params, t_pv)
     c = velocity_map(params, x)
-    qt = float(_q_tilde(params, _cofactors(m_pv, c), c).real)
+    qt = float(_q_tilde(params, _cofactors(m_pv, c), c))
     rho = float(rho_of_c(params, np.asarray(c)))
     claimed = 2j * math.pi * rho * qt
     jump = lp - lm
@@ -168,7 +167,7 @@ def sokhotsky_jump(params: GasParams, x: float) -> SokhotskyJump:
         claimed_jump=claimed,
         ratio=ratio,
         average=0.5 * (lp + lm),
-        pv=float(_det3(m_pv).real),
+        pv=float(_det3(m_pv)),
     )
 
 
@@ -177,25 +176,34 @@ def sokhotsky_jump(params: GasParams, x: float) -> SokhotskyJump:
 # ---------------------------------------------------------------------------
 
 def _sample_polyline(vertices: np.ndarray, total: int, level: int = 0) -> np.ndarray:
-    """Sample a closed polyline densely; the closing vertex is appended.
+    """All samples of ``level`` (:func:`_polyline_points`), closing vertex appended."""
+    pts = _polyline_points(vertices, total, level, 0)
+    return np.append(pts, pts[0])
+
+
+def _polyline_points(vertices, total: int, level: int, odd: int) -> np.ndarray:
+    """Sample a closed polyline densely: every point j, or the odd ones.
 
     Each segment gets ``k0 = max(2, ceil(total * length / perimeter))``
     points at level 0 and ``k = k0 * 2**level`` at ``level``.  Point j of
     z0 -> z1 is ``((k - j) / k) z0 + (j / k) z1``, exact under z -> conj z,
     z -> -z and reversal: symmetric vertices give samples symmetric bit for
     bit (up to the sign of zero).  Level L + 1 holds level L bit for bit at
-    its even indices (``2j / 2k`` rounds as ``j / k``).
+    its even indices (``2j / 2k`` rounds as ``j / k``); from level 1 on
+    every k is even, so ``odd = 1`` gives the midpoints a level adds.
     """
     v = np.asarray(vertices, dtype=complex)
     if abs(v[0] - v[-1]) > 1e-12:
         v = np.append(v, v[0])
     seg = np.abs(np.diff(v))
+    if not seg.sum() > 0.0:
+        raise DomainError("contour has zero length")
     k = np.maximum(2, np.ceil(total * seg / seg.sum()).astype(np.int64)) << level
-    starts = np.cumsum(k) - k
-    j = np.arange(k.sum()) - np.repeat(starts, k)
-    k, z0, z1 = np.repeat(k, k), np.repeat(v[:-1], k), np.repeat(v[1:], k)
-    pts = (k - j) / k * z0 + j / k * z1
-    return np.append(pts, pts[0])
+    count = k >> odd
+    starts = np.cumsum(count) - count
+    j = ((np.arange(count.sum()) - np.repeat(starts, count)) << odd) + odd
+    k, z0, z1 = np.repeat(k, count), np.repeat(v[:-1], count), np.repeat(v[1:], count)
+    return (k - j) / k * z0 + j / k * z1
 
 
 def winding_number(values: np.ndarray) -> tuple[float, float]:
@@ -230,7 +238,7 @@ def count_zeros(params: GasParams, scheme: QuadratureScheme, contour) -> int:
     Raises
     ------
     DomainError
-        If a contour vertex is not finite.
+        If a contour vertex is not finite, or the contour has zero length.
     IllConditionedContourError
         If the contour touches the cut, lambda drops below 1e-8 on it, or
         the winding fails to stabilize.
@@ -242,12 +250,12 @@ def count_zeros(params: GasParams, scheme: QuadratureScheme, contour) -> int:
 
     prev = None
     # lambda at the current level's samples; the closing point repeats the first
-    vals = _lambda_by_orbit(params, scheme, _sample_polyline(v, 4096)[:-1])
+    vals = _lambda_by_orbit(params, scheme, _polyline_points(v, 4096, 0, 0))
     for level in range(5):
         if level:  # keep the values of the level before, add its midpoints
             kept, vals = vals, np.empty(2 * vals.size, dtype=complex)
             vals[0::2] = kept
-            vals[1::2] = _lambda_by_orbit(params, scheme, _sample_polyline(v, 4096, level)[1::2])
+            vals[1::2] = _lambda_by_orbit(params, scheme, _polyline_points(v, 4096, level, 1))
         if np.min(np.abs(vals)) < 1e-8:
             raise IllConditionedContourError("lambda smaller than 1e-8 on the contour")
         w, step = winding_number(np.append(vals, vals[0]))

@@ -25,8 +25,11 @@ the cut (the fixed quadrature rule, by contrast, loses all digits within
 O(1) of it).  Synthetic division cancels more as |Z| grows, so from
 |Z| = 8 on a point sums the asymptotic moment series of the n = 4 piece to
 its own smallest term and gets n = 3..0 by an exact downward recurrence.
-Direct quadrature of the moments serves only as a test oracle far from
-the cut (``quadrature_moments`` in ``tests/conftest.py``).
+On the cut every argument is real and the kernel stays in float64 (Dawson
+and Ei for Faddeeva and E1), with the bits complex arithmetic would give.
+At a = 0 the C < 0 half-line sits at -Z+, so Phi(-Z) reuses the special
+functions of Phi(Z).  Direct quadrature of the moments serves only as a
+test oracle far from the cut (``quadrature_moments`` in ``tests/conftest.py``).
 
 Everything here is a pure function of immutable inputs; concurrent use
 needs no coordination.
@@ -84,28 +87,26 @@ class MomentSet:
 # special-function kernel
 # ---------------------------------------------------------------------------
 
-def _phi_halfline(z):
-    """Phi(Z) = int_0^inf exp(-t**2)/(t - Z) dt, for |Z| < _SERIES_RADIUS.
-
-    Half the full-line transform int_R exp(-t**2)/(t - Z) dt (Faddeeva, or
-    Dawson on the axis) plus half of int_0^inf exp(-u)/(u - s) du, s = Z**2,
-    whose products exp(-s)*E1(-s) and exp(-s)*Ei(s) stay far from overflow
-    at |s| < 64.  For real ``Z`` it returns the principal value; ``Z = 0``
-    is a logarithmic singularity that the moment prefactor removes.
+def _phi_pieces(z):
+    """``full`` and ``half`` of Phi(Z) = int_0^inf exp(-t**2)/(t - Z) dt =
+    (full + half)/2, |Z| < _SERIES_RADIUS: the transform over the whole line
+    (Faddeeva, or Dawson on the axis), odd in Z, and int_0^inf exp(-u)/(u - s) du
+    at s = Z**2, whose exp(-s)*E1(-s) and exp(-s)*Ei(s) stay far from
+    overflow at |s| < 64.  Real ``Z`` stays float64 (the principal value);
+    ``Z = 0`` is a logarithmic singularity that the moment prefactor removes.
     """
-    z = np.asarray(z, dtype=complex)
+    if not np.iscomplexobj(z):
+        s = z * z
+        return (-2.0 * SQRT_PI * dawsn(z),
+                np.where(s > 0, -np.exp(-s) * expi(np.maximum(s, 1e-300)), 0.0))
     full, half = np.empty_like(z), np.empty_like(z)
-    up, dn = z.imag > 0, z.imag < 0
-    re = ~(up | dn)
+    up, dn, axis = z.imag > 0, z.imag < 0, z.imag == 0.0
     full[up] = 1j * math.pi * wofz(z[up])
     full[dn] = -1j * math.pi * wofz(-z[dn])
-    full[re] = -2.0 * SQRT_PI * dawsn(z[re].real)
+    full[axis], half[axis] = _phi_pieces(z[axis].real)
     s = z * z
-    axis = z.imag == 0.0
-    sr = s[axis].real
-    half[axis] = np.where(sr > 0, -np.exp(-sr) * expi(np.maximum(sr, 1e-300)), 0.0)
     half[~axis] = np.exp(-s[~axis]) * exp1(-s[~axis])
-    return 0.5 * (full + half)
+    return full, half
 
 
 def _cauchy_halfline_poly(a: float, z, phi_z):
@@ -114,21 +115,23 @@ def _cauchy_halfline_poly(a: float, z, phi_z):
 
     Synthetic division of p_4(C) = C**4 (1+aC)**2 reduces each J_n to
     half-line Gaussian moments (over the top n + 2 quotient coefficients)
-    plus p_n(Z)*Phi(Z); the two cancel more as |Z| grows.
+    plus p_n(Z)*Phi(Z); the two cancel more as |Z| grows.  Real ``Z`` gives
+    real rows, from a complex BLAS dot: a real one sums in another order.
     """
     # (p_4(C) - p_4(Z))/(C - Z) = sum b_k C**k
-    b = np.empty((6,) + z.shape, dtype=complex)
+    b = np.empty((6,) + z.shape, dtype=z.dtype)
     b[5] = a * a
     for j, c in zip(range(5, 0, -1), (2.0 * a, 1.0, 0.0, 0.0, 0.0)):
         b[j - 1] = c + z * b[j]
+    b = b.astype(complex, copy=False)
     p_at_z = np.zeros_like(z)
     for c in (a * a, 2.0 * a, 1.0):
         p_at_z = p_at_z * z + c
     for n in range(5):
+        dot = np.tensordot(_HALF_MOMENTS[:n + 2], b[4 - n:], axes=(0, 0))
         # a fresh copy, as when the outputs were pinned: from 16384 points on
         # numpy reuses it in place, forming phi * p, which rounds unlike p * phi
-        yield (np.tensordot(_HALF_MOMENTS[:n + 2], b[4 - n:], axes=(0, 0))
-               + p_at_z * phi_z.copy())
+        yield (dot if z.dtype == complex else dot.real) + p_at_z * phi_z.copy()
         p_at_z = p_at_z * z + 0.0  # p_{n+1}(Z)
 
 
@@ -139,12 +142,14 @@ def _cauchy_halfline_series(a: float, z) -> np.ndarray:
     Only J_4 is summed, each point up to its own smallest term (g is
     log-convex, so the terms only grow after it) or until its term is below
     1e-17 of its sum; finished points leave the working set.  The exact
-    identity J_n = (J_{n+1} - g_n)/Z, stable downward here, gives J_3..J_0.
+    identity J_n = (J_{n+1} - g_n)/Z, stable downward here, gives J_3..J_0;
+    real ``Z`` multiplies by 1/Z, as numpy's complex division by Z + 0j does.
     """
     h = _HALF_MOMENTS
     g = h[:-2] + 2.0 * a * h[1:-1] + a * a * h[2:]
-    out = np.empty((5, z.size), dtype=complex)
-    live, w, total = np.arange(z.size), 1.0 / z, np.zeros_like(z)
+    out = np.empty((5, z.size), dtype=z.dtype)
+    inv = 1.0 / z
+    live, w, total = np.arange(z.size), inv, np.zeros_like(z)
     power, prev = -w, np.full(z.shape, np.inf)  # power = -Z**-(k+1)
     for gm in g[4:]:
         term = gm * power
@@ -161,29 +166,40 @@ def _cauchy_halfline_series(a: float, z) -> np.ndarray:
         prev, power = mag, power * w
     out[4, live] = total
     for n in range(3, -1, -1):
-        out[n] = (out[n + 1] - g[n]) / z
+        out[n] = (out[n + 1] - g[n]) / z if z.dtype == complex else (out[n + 1] - g[n]) * inv
     return out
 
 
-def _cauchy_halfline(a: float, z: np.ndarray) -> np.ndarray:
-    """J_0..J_4 at one half-line's arguments Z, (5,) + z.shape; real if Z is."""
-    real = not np.iscomplexobj(z)
-    zf = np.asarray(z, dtype=complex).reshape(-1)
-    out = np.empty((5, zf.size), dtype=complex)
-    far = np.abs(zf) >= _SERIES_RADIUS
-    if far.any():
-        out[:, far] = _cauchy_halfline_series(a, zf[far])
-    near = ~far
-    if near.any():
-        zs = zf[near]
-        phi = _phi_halfline(zs)
-        if real:
-            phi = phi.real
-        rows = _cauchy_halfline_poly(a, zs, phi)
-        for n in range(5):  # each row freed once stored
-            out[n, near] = next(rows)
-    out = out.reshape((5,) + z.shape)
-    return out.real if real else out
+def _cauchy_halflines(a: float, z: np.ndarray, dp, dm):
+    """J_0..J_4 on both half-lines of the points ``z``: at Z+ = z/dp (C > 0)
+    and at -Z- = -(z/dm) (C < 0, as u = -C); two (5,) + z.shape arrays in
+    the dtype of ``z``.  At a = 0, -Z- is -Z+, and Phi(-Z) = (half - full)/2
+    reuses the special functions of Phi(Z).
+    """
+    outs, mirrored = [], None
+    for minus, d in ((False, dp), (True, dm)):
+        zh = (-(z / d) if minus else z / d).reshape(-1)
+        out = np.empty((5, zh.size), dtype=zh.dtype)
+        far = np.abs(zh) >= _SERIES_RADIUS
+        if far.any():
+            out[:, far] = _cauchy_halfline_series(a, zh[far])
+        near = ~far
+        if near.any():
+            zn = zh[near]
+            if mirrored is None:
+                full, half = _phi_pieces(zn)
+                phi = 0.5 * (full + half)
+                if a == 0.0:
+                    mirrored = 0.5 * (half - full)
+                del full, half
+            else:
+                phi = mirrored
+            rows = _cauchy_halfline_poly(a, zn, phi)
+            for n in range(5):  # each row freed once stored
+                out[n, near] = next(rows)
+            del zn, phi, rows  # the suspended generator holds the quotient
+        outs.append(out.reshape((5,) + np.shape(z)))
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +215,8 @@ def _tn_halflines(a: float, z: np.ndarray) -> np.ndarray:
     At real ``z = 0`` the result is finite and the caller sets it.
     """
     dp, dm = 1.0 - a * z, 1.0 + a * z
-    # C > 0 at Z+, C < 0 (as u = -C) at -Z-; one half-line held at a time
-    out = _cauchy_halfline(a, z / dp) / dp
-    jm = _cauchy_halfline(a, -(z / dm))
+    out, jm = _cauchy_halflines(a, z, dp, dm)
+    out /= dp
     for n in range(5):
         out[n] = z * (out[n] + (-1.0) ** (n + 1) * jm[n] / dm)
     return out
@@ -211,9 +226,14 @@ def tn_offcut_array(params: GasParams, z) -> np.ndarray:
     """t0..t4 at points off the cut; shape (5,) + z.shape, complex.
 
     No region validation is performed here; use :func:`moments_at` for the
-    checked scalar interface.
+    checked scalar interface.  Below |z| = 1e-150, where Z**2 would
+    underflow, |t_n| = O(|z| log|z|) is below 1e-147 and t_n is set to 0.
     """
-    return _tn_halflines(params.a, np.asarray(z, dtype=complex))
+    z = np.asarray(z, dtype=complex)
+    tiny = np.abs(z) < 1e-150
+    out = _tn_halflines(params.a, np.where(tiny, 1j, z) if tiny.any() else z)
+    out[:, tiny] = 0.0
+    return out
 
 
 def tn_pv_array(params: GasParams, x) -> np.ndarray:
@@ -234,14 +254,14 @@ def boundary_jump_array(params: GasParams, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     c = np.asarray(velocity_map(params, x), dtype=float)
     rho = rho_of_c(params, c)
-    return np.stack([1j * math.pi * x * c**n * rho for n in range(5)])
+    jx = 1j * math.pi * x
+    return np.stack([jx * c**n * rho for n in range(5)])
 
 
 def tn_boundary_array(params: GasParams, x, side) -> np.ndarray:
     """Boundary values t_n(x +- i0) = t_n^PV(x) +- i*pi*x*C(x)**n*rho(x)."""
     sgn = side_sign(side)
-    x = np.asarray(x, dtype=float)
-    return tn_pv_array(params, x).astype(complex) + sgn * boundary_jump_array(params, x)
+    return tn_pv_array(params, x) + sgn * boundary_jump_array(params, x)
 
 
 def off_cut_points(params: GasParams, z) -> np.ndarray:

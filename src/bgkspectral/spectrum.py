@@ -89,9 +89,9 @@ class EigenData:
 def _eigen_arrays(params: GasParams, eta):
     """PV determinant, PV cofactors, rho and C at cut points ``eta``, vectorized."""
     eta = np.asarray(eta, dtype=float)
-    m = _assemble(params, tn_pv_array(params, eta).astype(complex))
+    m = _assemble(params, tn_pv_array(params, eta))
     c = velocity_map(params, eta)
-    return _det3(m).real, _cofactors(m, c).real, rho_of_c(params, c), c
+    return _det3(m), _cofactors(m, c), rho_of_c(params, c), c
 
 
 def eigen_data(params: GasParams, eta: float) -> EigenData:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate as si
-from scipy.special import gamma, roots_legendre
+from scipy.special import dawsn, exp1, expi, gamma, roots_legendre, wofz
 
 from bgkspectral import DomainError, make_params, make_scheme
 from bgkspectral.params import mu_of, require_finite
@@ -70,6 +70,97 @@ def cauchy_halfline_poly_oracle(a, n, z, phi_z):
     for c in p[::-1]:
         p_at_z = p_at_z * z + c
     return moment_part + p_at_z * phi_z.copy()
+
+
+# ---------------------------------------------------------------------------
+# the moment kernel's complex route, as an oracle for its float64 and a = 0
+# paths: every argument cast to complex, the special functions evaluated for
+# each half-line, real results taken as the real part at the end
+# ---------------------------------------------------------------------------
+
+SERIES_RADIUS = 8.0
+_SERIES_MOMENTS = np.array([float(gamma((k + 1) / 2)) / 2.0 for k in range(176)])
+
+
+def phi_halfline_oracle(z):
+    """Phi(Z) = int_0^inf exp(-t**2)/(t - Z) dt in complex arithmetic, |Z| < 8."""
+    z = np.asarray(z, dtype=complex)
+    full, half = np.empty_like(z), np.empty_like(z)
+    up, dn = z.imag > 0, z.imag < 0
+    re = ~(up | dn)
+    full[up] = 1j * math.pi * wofz(z[up])
+    full[dn] = -1j * math.pi * wofz(-z[dn])
+    full[re] = -2.0 * math.sqrt(math.pi) * dawsn(z[re].real)
+    s = z * z
+    axis = z.imag == 0.0
+    sr = s[axis].real
+    half[axis] = np.where(sr > 0, -np.exp(-sr) * expi(np.maximum(sr, 1e-300)), 0.0)
+    half[~axis] = np.exp(-s[~axis]) * exp1(-s[~axis])
+    return 0.5 * (full + half)
+
+
+def cauchy_halfline_series_oracle(a, z):
+    """J_0..J_4 at complex |Z| >= 8 from the asymptotic series of J_4, summed
+    per point to its smallest term, and the downward recurrence."""
+    h = _SERIES_MOMENTS
+    g = h[:-2] + 2.0 * a * h[1:-1] + a * a * h[2:]
+    out = np.empty((5, z.size), dtype=complex)
+    live, w, total = np.arange(z.size), 1.0 / z, np.zeros_like(z)
+    power, prev = -w, np.full(z.shape, np.inf)
+    for gm in g[4:]:
+        term = gm * power
+        mag = np.abs(term)
+        grew = mag > prev
+        total = np.where(grew, total, total + term)
+        done = grew | (mag <= 1e-17 * np.abs(total))
+        if done.any():
+            out[4, live[done]] = total[done]
+            keep = ~done
+            live, w, power, total, mag = live[keep], w[keep], power[keep], total[keep], mag[keep]
+            if not live.size:
+                break
+        prev, power = mag, power * w
+    out[4, live] = total
+    for n in range(3, -1, -1):
+        out[n] = (out[n + 1] - g[n]) / z
+    return out
+
+
+def cauchy_halfline_oracle(a, z):
+    """J_0..J_4 at one half-line's arguments Z, (5,) + z.shape; real if Z is."""
+    real = not np.iscomplexobj(z)
+    zf = np.asarray(z, dtype=complex).reshape(-1)
+    out = np.empty((5, zf.size), dtype=complex)
+    far = np.abs(zf) >= SERIES_RADIUS
+    if far.any():
+        out[:, far] = cauchy_halfline_series_oracle(a, zf[far])
+    near = ~far
+    if near.any():
+        zs = zf[near]
+        phi = phi_halfline_oracle(zs)
+        if real:
+            phi = phi.real
+        for n in range(5):
+            out[n, near] = cauchy_halfline_poly_oracle(a, n, zs, phi)
+    out = out.reshape((5,) + z.shape)
+    return out.real if real else out
+
+
+def halflines_oracle(a, z):
+    """J_0..J_4 at Z+ and at -Z-, each half-line computed on its own, and
+    t0..t4 from them: (jp, jm, t)."""
+    dp, dm = 1.0 - a * z, 1.0 + a * z
+    jp = cauchy_halfline_oracle(a, z / dp)
+    jm = cauchy_halfline_oracle(a, -(z / dm))
+    out = jp / dp
+    for n in range(5):
+        out[n] = z * (out[n] + (-1.0) ** (n + 1) * jm[n] / dm)
+    return jp, jm, out
+
+
+def tn_halflines_oracle(a, z):
+    """t0..t4 from the two half-line transforms, each computed on its own."""
+    return halflines_oracle(a, z)[2]
 
 
 def asymptotic_moments(params):

@@ -255,6 +255,15 @@ class TestDispersionEval:
         assert rep["region"] == "off-cut"
         assert len(rep["t"]) == 5
 
+    @pytest.mark.parametrize("a", ["0", "1", "100"])
+    def test_point_where_z_squared_underflows(self, capsys, a):
+        # lambda was NaN there (0 * inf from E1(-Z**2) at Z**2 = 0)
+        code, out, _ = run_cli(capsys, "dispersion-eval", "--a", a,
+                               "--z-re", "0", "--z-im", "1e-200")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0][2:] == ["off-cut", "1", "0", "1"]
+
 
 #: one too-small value per bounded count option
 BELOW_MINIMUM = [
@@ -359,6 +368,50 @@ VERIFY_DIGESTS = {
     "1e3": ("f6f445c595efb066de98264659b5a9512308143bdcdaea719e219d396f7dbdce", 1),
     "1e5": ("41af61400914e02e0b90eebfae50b656c3e4de3cb85f7b8d3122e51b0248b11b", 1),
 }
+
+
+#: sha256 of ``dispersion-eval ARGS --format json``, which prints t0..t4 at
+#: full precision: points off the cut and principal values on it, near and
+#: far (|Z+| >= 8, the moment series), both boundary values, x = 0 and the
+#: a = 0 branches.  Scalar calls, so the BLAS thread count cannot move them.
+KERNEL_DIGESTS = {
+    "--a 1 --z-re 0.3 --z-im 0.1":
+        "7e35d296c5333a54f80dbff4f3aa3d5424747dc59c1fbf0d9f7a941fe3aac2fe",
+    "--a 1 --z-re 0.95 --z-im 0.001":
+        "a10da8e1c273fa37b2218857af3ccc42b627149af256da5a7b6fa3fdfd6a4a25",
+    "--a 1 --z-re 0.3":
+        "8c3039d4782d68d0a0a3ed5de066c3f80c122b55420728b3a05d2cc197e07c58",
+    "--a 1 --z-re 0.95":
+        "b67e4bbde5d24289a8abceee3a9cb8326388419d9e8f1552d11d74e468172be2",
+    "--a 1 --z-re 0.5 --side plus":
+        "f93f9ee7b5a33edf4cfd98a90c534d97a45dccb1380f64a05cdad8dbfdb595a1",
+    "--a 1 --z-re -0.5 --side minus":
+        "c245e49f46431450f66167e2da23b6ee0906d87ee02b0c61b157d6c382f00507",
+    "--a 1 --z-re 0":
+        "b79aa3dc3833c257fe78fa92a2f3247d58e5cec52b83c11d742886f23d0f0dac",
+    "--a 0 --z-re 0 --z-im 2":
+        "8514148e2abd39a107318220aab2fac391cc2ea97e4a821d6fd44246546668d6",
+    "--a 0 --z-re 1.5":
+        "59dcdf97634fc99ed2b86a34258ef003e0a54bcc2358699bccf6e4e3622d19cd",
+    "--a 0 --z-re -9.5 --side plus":
+        "b61cb04afa8aa0fec3f6135aefb7ed04a5c36a7d8f78debffd098cb784548e40",
+    "--a 0 --z-re 10 --z-im -3":
+        "c4ffc39f2a5b0265f6342ff805de1432ddfbae48956474bc854902dd588b2b3f",
+    "--a 100 --z-re 0.005 --z-im 0.001":
+        "e553480c71da858ffe259080a4197a5e0c5a6a34ee21955100648205fb0abfc2",
+    "--a 100 --z-re 0.00999":
+        "df27f1c3423b38221b7cf876c1af872a8696163fca954950a764afdb7b948050",
+    "--a 100 --z-re -0.004 --side minus":
+        "231e5795f912ff4a758ef8e5e8e7830161df23b85fee436735c82b7f1c6bda51",
+}
+
+
+@pytest.mark.parametrize("args", list(KERNEL_DIGESTS))
+def test_dispersion_eval_kernel_golden(args, tmp_path):
+    path = tmp_path / "point.json"
+    argv = ["dispersion-eval", *args.split(), "--format", "json", "--out", str(path)]
+    assert main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == KERNEL_DIGESTS[args]
 
 
 @pytest.mark.parametrize("a", list(VERIFY_DIGESTS))

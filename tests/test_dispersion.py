@@ -28,7 +28,13 @@ from bgkspectral import (
 )
 from bgkspectral import dispersion
 from bgkspectral.cli import main
-from bgkspectral.dispersion import _cofactors, _q_tilde, _sample_polyline, winding_number
+from bgkspectral.dispersion import (
+    _cofactors,
+    _polyline_points,
+    _q_tilde,
+    _sample_polyline,
+    winding_number,
+)
 from bgkspectral.limits import lambda_a0, lambda_a0_pv
 from bgkspectral.params import velocity_map
 
@@ -364,6 +370,21 @@ class TestZeroCounting:
         for level in range(5):
             assert (_sample_polyline(contour, 4096, level).tobytes()
                     == _sample_polyline_loop(contour, 4096, level).tobytes()), level
+
+    @pytest.mark.parametrize("contour", [pytest.param(c, id=name) for name, c in _oracle_contours()
+                                         if not name.startswith("polygon")])
+    def test_midpoints_are_odd_samples(self, contour):
+        # a refinement samples only the new midpoints, with the same bits
+        assert (_polyline_points(contour, 4096, 0, 0).tobytes()
+                == _sample_polyline(contour, 4096)[:-1].tobytes())
+        for level in range(1, 5):
+            assert (_polyline_points(contour, 4096, level, 1).tobytes()
+                    == _sample_polyline(contour, 4096, level)[1::2].tobytes()), level
+
+    def test_zero_length_contour_rejected(self, model):
+        p, s = model[1.0]
+        with pytest.raises(DomainError, match="zero length"):
+            count_zeros(p, s, np.full(3, 2 + 1j))
 
     def test_sampler_closes_polyline(self):
         v = np.array([0, 1, 1 + 1j, 1j], dtype=complex)

@@ -17,17 +17,27 @@ from bgkspectral import (
     moments_boundary,
     moments_pv,
 )
+from bgkspectral.dispersion import _assemble, _cofactors, _det3, lambda_fn, lambda_pv
 from bgkspectral.moments import (
     _SERIES_RADIUS,
     _cauchy_halfline_poly,
-    _phi_halfline,
+    _cauchy_halflines,
+    _tn_halflines,
     tn_offcut_array,
     tn_pv_array,
 )
 from bgkspectral.params import rho_of_c, velocity_map
 from bgkspectral.quadrature import integrate_weighted
 
-from conftest import A_GRID, asymptotic_moments, cauchy_halfline_poly_oracle, quadrature_moments
+from conftest import (
+    A_GRID,
+    asymptotic_moments,
+    cauchy_halfline_poly_oracle,
+    halflines_oracle,
+    phi_halfline_oracle,
+    quadrature_moments,
+    tn_halflines_oracle,
+)
 
 SQPI = math.sqrt(math.pi)
 
@@ -285,8 +295,130 @@ def test_one_division_matches_per_n_division(a, size):
     x = rng.uniform(-_SERIES_RADIUS, _SERIES_RADIUS, size)
     z = x * np.exp(1j * rng.uniform(-math.pi, math.pi, size))
     for zs, pv in ((x.astype(complex), True), (z, False)):
-        phi = _phi_halfline(zs)
+        phi = phi_halfline_oracle(zs)
         if pv:
             phi = phi.real
         for n, j in enumerate(_cauchy_halfline_poly(a, zs, phi)):
             assert j.tobytes() == cauchy_halfline_poly_oracle(a, n, zs, phi).tobytes(), (pv, n)
+    # real Z stays float64 and gives the real part of the complex route
+    phi = phi_halfline_oracle(x).real
+    for n, j in enumerate(_cauchy_halfline_poly(a, x, phi)):
+        assert j.dtype == float
+        assert j.tobytes() == cauchy_halfline_poly_oracle(a, n, x.astype(complex), phi).real.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the float64 route and the a = 0 mirror against the complex route
+# ---------------------------------------------------------------------------
+
+ORACLE_SLOPES = [0.0, 1e-8, 0.1, 1.0, 100.0, 1e5]
+
+
+def _oracle_batch(rng, a, size, kind):
+    """Points of one kind: real ``|x|`` on the cut or complex ``z`` off it.
+
+    ``mixed`` draws speeds C uniform in [-12, 12], so |Z+| falls on both
+    sides of 8, and starts with x = +0.0, -0.0; ``near`` and ``far`` keep
+    |C| below 6 or at 9 to 40; ``imag`` puts z on the imaginary axis with
+    both signs of a zero real part.  Complex points sit at distances
+    log-uniform in [1e-8, 10] * min(1, alpha) from the cut, either side.
+    """
+    alpha = make_params(a).alpha
+    if kind == "imag":
+        return rng.choice([0.0, -0.0], size) + 1j * rng.choice([-1, 1], size) * rng.uniform(1e-3, 20, size)
+    speed = {"near": (0.0, 6.0), "far": (9.0, 40.0)}.get(kind, (0.0, 12.0))
+    c = rng.choice([-1, 1], size) * rng.uniform(*speed, size)
+    if kind == "mixed":
+        c[:2] = (0.0, -0.0)[:size]
+    x = c / (1.0 + a * np.abs(c))
+    if kind == "real":
+        return x
+    d = 10.0 ** rng.uniform(-8, 1, size) * min(1.0, alpha)
+    return x + 1j * rng.choice([-1, 1], size) * d
+
+
+def _assert_kernel_matches_complex_route(a, z):
+    """J rows of both half-lines and t0..t4 equal the complex route's bytes."""
+    want = halflines_oracle(a, z)
+    got = [*_cauchy_halflines(a, z, 1.0 - a * z, 1.0 + a * z), _tn_halflines(a, z)]
+    for name, g, w in zip(("J at Z+", "J at -Z-", "t"), got, want):
+        assert g.dtype == z.dtype, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("a, size", [(a, n) for a in ORACLE_SLOPES
+                                     for n in (1, 7, 1000, 16383, 16384, 20000)]
+                         + [(0.0, 100000), (1.0, 100000)])
+def test_kernel_matches_complex_route(a, size):
+    # mixed batches around |Z| = 8, on the cut (real |x|) and off it; the
+    # sizes straddle numpy's 16384-point temporary elision threshold
+    rng = np.random.default_rng(size + 7)
+    z = _oracle_batch(rng, a, size, "mixed")
+    for arg in (np.abs(z.real), z):
+        _assert_kernel_matches_complex_route(a, arg)
+
+
+@pytest.mark.parametrize("kind", ["near", "far", "imag"])
+@pytest.mark.parametrize("a", ORACLE_SLOPES)
+def test_kernel_matches_complex_route_by_region(a, kind):
+    rng = np.random.default_rng(len(kind))
+    for size in (7, 2000):
+        z = _oracle_batch(rng, a, size, kind)
+        _assert_kernel_matches_complex_route(a, z)
+        if kind != "imag":
+            _assert_kernel_matches_complex_route(a, np.abs(z.real))
+
+
+@pytest.mark.parametrize("a", ORACLE_SLOPES)
+def test_scalar_points_match_complex_route(a):
+    p = make_params(a)
+    for x in (0.0, -0.0, 1e-300, 0.3 * min(1.0, p.alpha), -0.9999 * p.alpha if a else 9.5):
+        x = np.asarray(x)
+        want = np.where(np.abs(x) > 0, tn_halflines_oracle(a, np.abs(x)), 0.0)
+        want[1::2] *= np.where(x < 0, -1.0, 1.0)
+        assert tn_pv_array(p, x).tobytes() == want.tobytes(), x
+    for z in (2j, -0.0 + 2j, 0.3 - 1e-9j, 9.0 + 1j, -20.0 - 0.5j, 1e-100j):
+        z = np.asarray(z)
+        assert tn_offcut_array(p, z).tobytes() == tn_halflines_oracle(a, z).tobytes(), z
+    if a > 0.0:  # complex points on the real axis beyond the cut
+        z = np.array([1.5, -3.0, 1.0001, 50.0, -1e3]) * p.alpha + 0j
+        assert tn_offcut_array(p, z).tobytes() == tn_halflines_oracle(a, z).tobytes()
+        for zi in z:
+            assert tn_offcut_array(p, zi).tobytes() == tn_halflines_oracle(a, np.asarray(zi)).tobytes()
+
+
+@pytest.mark.parametrize("a", ORACLE_SLOPES)
+def test_float64_determinant_matches_complex_assembly(a):
+    # lambda_pv and the PV cofactors in float64 equal the real part of the
+    # complex-assembled matrix, signed zeros included
+    p = make_params(a)
+    rng = np.random.default_rng(3)
+    for size in (1, 1000, 20000):
+        x = _oracle_batch(rng, a, size, "real")
+        x[: min(size, 2)] = (0.0, -0.0)[: min(size, 2)]
+        m = _assemble(p, tn_pv_array(p, x).astype(complex))
+        assert lambda_pv(p, None, x).tobytes() == _det3(m).real.tobytes()
+        c = velocity_map(p, x)
+        want = _cofactors(m, c).real
+        assert _cofactors(_assemble(p, tn_pv_array(p, x)), c).tobytes() == want.tobytes()
+    m = _assemble(p, tn_pv_array(p, 0.2 * min(1.0, p.alpha)).astype(complex))
+    assert np.float64(lambda_pv(p, None, 0.2 * min(1.0, p.alpha))).tobytes() == _det3(m).real.tobytes()
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, 100.0])
+def test_lambda_is_one_where_z_squared_underflows(a):
+    # |t_n| = O(|z| log|z|) < 1e-147 there, so t_n is 0 and lambda is 1
+    p = make_params(a)
+    tiny = np.array([1e-200j, 1e-300j, 1e-300 + 1e-300j, 5e-324j, -5e-324j])
+    for z in tiny:
+        assert lambda_fn(p, None, z) == 1.0
+        assert np.all(moments_at(p, z).t == 0.0)
+    # the other points of a batch keep the bytes of the complex route, whose
+    # values at the tiny points are NaN
+    batch = np.concatenate([tiny, [0.5j, 1e-150j, 3.0 - 1e-140j]])
+    got = tn_offcut_array(p, batch)
+    assert np.all(got[:, :5] == 0.0)
+    with np.errstate(all="ignore"):
+        want = tn_halflines_oracle(a, batch)
+    assert np.isnan(want[:, :5]).any()
+    assert got[:, 5:].tobytes() == want[:, 5:].tobytes()
