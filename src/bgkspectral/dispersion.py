@@ -216,8 +216,13 @@ def winding_number(values: np.ndarray) -> tuple[float, float]:
 def _lambda_by_orbit(params: GasParams, scheme: QuadratureScheme, z):
     """lambda at ``z`` from the distinct ``|Re z| + i|Im z|``, by lambda(-z) = lambda(z)
     (even collision frequency) and lambda(conj z) = conj lambda(z) (real weights)."""
-    rep, back = np.unique(np.abs(z.real) + 1j * np.abs(z.imag), return_inverse=True)
-    vals = lambda_fn(params, scheme, rep)[back]
+    order = np.lexsort((np.abs(z.imag), np.abs(z.real)))  # np.unique's order, no complex sort
+    rep = np.abs(z.real[order]) + 1j * np.abs(z.imag[order])
+    first = np.ones(rep.size, dtype=bool)
+    first[1:] = rep[1:] != rep[:-1]
+    back = np.empty_like(order)
+    back[order] = np.cumsum(first) - 1
+    vals = lambda_fn(params, scheme, rep[first])[back]
     return np.where(z.real * z.imag < 0, vals.conj(), vals)
 
 

@@ -31,6 +31,15 @@ At a = 0 the C < 0 half-line sits at -Z+, so Phi(-Z) reuses the special
 functions of Phi(Z).  Direct quadrature of the moments serves only as a
 test oracle far from the cut (``quadrature_moments`` in ``tests/conftest.py``).
 
+Byte contract: outputs are pinned bit for bit, so a change keeps each
+operation's operands, their order and numpy's inner loop.  Bits stay with
+``np.dot`` of complex (1, k) moment rows (the product np.tensordot makes),
+whole-batch calls in place of masked ones and ``out=`` into fresh arrays.
+They move with swapped complex factors (fused multiply-add; hence the
+``.copy()`` for temporary elision), in-place complex products, a float64
+dot, ``/ z`` for ``* (1/z)`` in the real series, broadcast (k, 1) x (k, N)
+products or ``np.multiply.accumulate`` there, and another BLAS batch.
+
 Everything here is a pure function of immutable inputs; concurrent use
 needs no coordination.
 """
@@ -49,8 +58,10 @@ from .params import GasParams, on_cut, require_finite, rho_of_c, side_sign, velo
 
 SQRT_PI = math.sqrt(math.pi)
 
-#: half-line Gaussian moments  int_0^inf t**k exp(-t**2) dt = Gamma((k+1)/2)/2
+#: half-line Gaussian moments  int_0^inf t**k exp(-t**2) dt = Gamma((k+1)/2)/2,
+#: and the rows h_0..h_{n+1} of J_0..J_4 as np.dot casts them for the quotient
 _HALF_MOMENTS = np.array([float(gamma((k + 1) / 2)) / 2.0 for k in range(176)])
+_HALF_MOMENT_ROWS = tuple(_HALF_MOMENTS[None, :n + 2].astype(complex) for n in range(5))
 
 #: |Z| from which a half-line transform takes the moment series and the
 #: downward recurrence instead of Phi and synthetic division
@@ -68,15 +79,7 @@ class Region(enum.Enum):
 
 @dataclass(frozen=True)
 class MomentSet:
-    """t0..t4 at one evaluation point, tagged by region.
-
-    Attributes
-    ----------
-    point : complex
-    region : Region
-    t : ndarray, shape (5,), complex
-        PV values are real-valued but stored complex for uniformity.
-    """
+    """t0..t4 at one point, tagged by region; ``t`` is complex (5,), PV values too."""
 
     point: complex
     region: Region
@@ -99,36 +102,45 @@ def _phi_pieces(z):
         s = z * z
         return (-2.0 * SQRT_PI * dawsn(z),
                 np.where(s > 0, -np.exp(-s) * expi(np.maximum(s, 1e-300)), 0.0))
-    full, half = np.empty_like(z), np.empty_like(z)
-    up, dn, axis = z.imag > 0, z.imag < 0, z.imag == 0.0
-    full[up] = 1j * math.pi * wofz(z[up])
-    full[dn] = -1j * math.pi * wofz(-z[dn])
-    full[axis], half[axis] = _phi_pieces(z[axis].real)
-    s = z * z
-    half[~axis] = np.exp(-s[~axis]) * exp1(-s[~axis])
-    return full, half
+    up, dn = z.imag > 0, z.imag < 0
+    n_up, n_dn = np.count_nonzero(up), np.count_nonzero(dn)
+    if n_up + n_dn < z.size:  # points on the real axis beyond the cut
+        full, half = np.empty_like(z), np.empty_like(z)
+        off = up | dn
+        full[~off], half[~off] = _phi_pieces(z[~off].real)
+        if n_up + n_dn:
+            full[off], half[off] = _phi_pieces(z[off])
+        return full, half
+    if z.size in (n_up, n_dn):
+        full = 1j * math.pi * wofz(z) if n_up else -1j * math.pi * wofz(-z)
+    else:
+        full = np.empty_like(z)
+        full[up] = 1j * math.pi * wofz(z[up])
+        full[dn] = -1j * math.pi * wofz(-z[dn])
+    ms = -(z * z)
+    return full, np.exp(ms) * exp1(ms)
 
 
 def _cauchy_halfline_poly(a: float, z, phi_z):
     """Yield J_n = int_0^inf exp(-C**2) C**n (1+aC)**2 / (C - Z) dC, n = 0..4,
-    for |Z| < _SERIES_RADIUS; ``phi_z`` holds Phi(Z) (ordinary or PV).
+    for |Z| < _SERIES_RADIUS, ``z`` of shape (N,); ``phi_z`` holds Phi(Z).
 
     Synthetic division of p_4(C) = C**4 (1+aC)**2 reduces each J_n to
     half-line Gaussian moments (over the top n + 2 quotient coefficients)
-    plus p_n(Z)*Phi(Z); the two cancel more as |Z| grows.  Real ``Z`` gives
-    real rows, from a complex BLAS dot: a real one sums in another order.
+    plus p_n(Z)*Phi(Z), which cancel more as |Z| grows.  The moment part is a
+    complex BLAS product for real ``Z`` too: a float64 one sums in another order.
     """
     # (p_4(C) - p_4(Z))/(C - Z) = sum b_k C**k
     b = np.empty((6,) + z.shape, dtype=z.dtype)
     b[5] = a * a
     for j, c in zip(range(5, 0, -1), (2.0 * a, 1.0, 0.0, 0.0, 0.0)):
-        b[j - 1] = c + z * b[j]
+        np.add(c, np.multiply(z, b[j], out=b[j - 1]), out=b[j - 1])
     b = b.astype(complex, copy=False)
-    p_at_z = np.zeros_like(z)
+    p_at_z = np.zeros(z.shape, dtype=z.dtype)
     for c in (a * a, 2.0 * a, 1.0):
         p_at_z = p_at_z * z + c
-    for n in range(5):
-        dot = np.tensordot(_HALF_MOMENTS[:n + 2], b[4 - n:], axes=(0, 0))
+    for n, h in enumerate(_HALF_MOMENT_ROWS):
+        dot = np.dot(h, b[4 - n:])[0]
         # a fresh copy, as when the outputs were pinned: from 16384 points on
         # numpy reuses it in place, forming phi * p, which rounds unlike p * phi
         yield (dot if z.dtype == complex else dot.real) + p_at_z * phi_z.copy()
@@ -157,7 +169,7 @@ def _cauchy_halfline_series(a: float, z) -> np.ndarray:
         grew = mag > prev
         total = np.where(grew, total, total + term)
         done = grew | (mag <= 1e-17 * np.abs(total))
-        if done.any():
+        if np.count_nonzero(done):
             out[4, live[done]] = total[done]
             keep = ~done
             live, w, power, total, mag = live[keep], w[keep], power[keep], total[keep], mag[keep]
@@ -174,18 +186,21 @@ def _cauchy_halflines(a: float, z: np.ndarray, dp, dm):
     """J_0..J_4 on both half-lines of the points ``z``: at Z+ = z/dp (C > 0)
     and at -Z- = -(z/dm) (C < 0, as u = -C); two (5,) + z.shape arrays in
     the dtype of ``z``.  At a = 0, -Z- is -Z+, and Phi(-Z) = (half - full)/2
-    reuses the special functions of Phi(Z).
+    reuses the special functions of Phi(Z).  Wholly near or far batches skip masks.
     """
-    outs, mirrored = [], None
+    outs, mirrored, shape = [], None, (5,) + np.shape(z)
     for minus, d in ((False, dp), (True, dm)):
         zh = (-(z / d) if minus else z / d).reshape(-1)
-        out = np.empty((5, zh.size), dtype=zh.dtype)
         far = np.abs(zh) >= _SERIES_RADIUS
-        if far.any():
-            out[:, far] = _cauchy_halfline_series(a, zh[far])
-        near = ~far
-        if near.any():
-            zn = zh[near]
+        n_far = np.count_nonzero(far)
+        if n_far == zh.size > 0:
+            outs.append(_cauchy_halfline_series(a, zh).reshape(shape))
+            continue
+        out, near = np.empty((5, zh.size), dtype=zh.dtype), slice(None)
+        if n_far:
+            out[:, far], near = _cauchy_halfline_series(a, zh[far]), ~far
+        zn = zh[near]
+        if zn.size:
             if mirrored is None:
                 full, half = _phi_pieces(zn)
                 phi = 0.5 * (full + half)
@@ -198,7 +213,7 @@ def _cauchy_halflines(a: float, z: np.ndarray, dp, dm):
             for n in range(5):  # each row freed once stored
                 out[n, near] = next(rows)
             del zn, phi, rows  # the suspended generator holds the quotient
-        outs.append(out.reshape((5,) + np.shape(z)))
+        outs.append(out.reshape(shape))
     return outs
 
 
@@ -231,7 +246,7 @@ def tn_offcut_array(params: GasParams, z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     tiny = np.abs(z) < 1e-150
-    out = _tn_halflines(params.a, np.where(tiny, 1j, z) if tiny.any() else z)
+    out = _tn_halflines(params.a, np.where(tiny, 1j, z) if np.count_nonzero(tiny) else z)
     out[:, tiny] = 0.0
     return out
 
@@ -240,7 +255,7 @@ def tn_pv_array(params: GasParams, x) -> np.ndarray:
     """Principal-value t0..t4 at real cut points; shape (5,) + x.shape, real."""
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
-    if not np.all(ax < params.alpha):  # NaN fails the comparison too
+    if np.count_nonzero(ax < params.alpha) < ax.size:  # NaN fails the comparison too
         raise DomainError(
             f"cut point must be a number inside (-{params.alpha}, {params.alpha})")
     out = np.where(ax > 0.0, _tn_halflines(params.a, ax), 0.0)
@@ -270,7 +285,7 @@ def off_cut_points(params: GasParams, z) -> np.ndarray:
     entry points take those)."""
     z = np.asarray(z, dtype=complex)
     require_finite("point", z)
-    if np.any(on_cut(params, z)):
+    if np.count_nonzero(on_cut(params, z)):
         raise WrongRegionError(
             "point lies on the spectral cut; use the PV or boundary-value entry points")
     return z

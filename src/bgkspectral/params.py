@@ -133,20 +133,20 @@ def side_sign(side) -> float:
     """+1.0 for the boundary value x + i0 on the cut, -1.0 for x - i0.
 
     ``side`` is "plus", "+" or 1, or "minus", "-" or -1; anything else
-    raises ValueError.
+    raises DomainError.
     """
     if side in ("plus", "+", 1):
         return 1.0
     if side in ("minus", "-", -1):
         return -1.0
-    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    raise DomainError(f"side must be 'plus' or 'minus', got {side!r}")
 
 
 def require_finite(name: str, value) -> None:
     """Raise DomainError naming ``name`` and a bad entry unless ``value`` is
     finite everywhere."""
     bad = ~np.isfinite(value)
-    if np.any(bad):
+    if np.count_nonzero(bad):
         raise DomainError(f"{name} is not finite: {np.asarray(value)[bad][0]}")
 
 

@@ -30,6 +30,7 @@ from bgkspectral import dispersion
 from bgkspectral.cli import main
 from bgkspectral.dispersion import (
     _cofactors,
+    _lambda_by_orbit,
     _polyline_points,
     _q_tilde,
     _sample_polyline,
@@ -440,6 +441,30 @@ class TestZeroCounting:
         seen = np.concatenate(batches)
         assert np.sort(seen).tobytes() == orbits.tobytes()
         assert seen.size < 0.35 * final.size
+        for batch in batches:  # each batch in np.unique's order
+            assert batch.tobytes() == np.unique(batch).tobytes()
+
+    def test_orbit_lookup_matches_unique_form(self, model, monkeypatch):
+        # the representatives, their order and the values handed back equal
+        # those of np.unique(..., return_inverse=True) on |Re z| + i|Im z|
+        p, s = model[1.0]
+        rng = np.random.default_rng(4)
+        base = rng.normal(size=40) + 1j * rng.normal(size=40)
+        base[:4] = (0.0, 1j, 2.0, -0.0 + 0.5j)
+        z = rng.choice(base, 600) * rng.choice([1, -1, 1j, -1j], 600)
+        z = np.concatenate([z, np.conj(z[:50]), [0.0, -0.0, -0.0 - 0.0j]])
+        batches = []
+
+        def stub(params, scheme, w):
+            batches.append(w)
+            return w * w + (1.0 + 2.0j) * w + 3.0
+
+        monkeypatch.setattr(dispersion, "lambda_fn", stub)
+        got = _lambda_by_orbit(p, s, z)
+        rep, back = np.unique(np.abs(z.real) + 1j * np.abs(z.imag), return_inverse=True)
+        vals = (rep * rep + (1.0 + 2.0j) * rep + 3.0)[back]
+        assert len(batches) == 1 and batches[0].tobytes() == rep.tobytes()
+        assert got.tobytes() == np.where(z.real * z.imag < 0, vals.conj(), vals).tobytes()
 
     def test_orbit_values_count_known_zeros(self, model, monkeypatch):
         # a stand-in for lambda with its symmetries, f(conj z) = conj f(z) and

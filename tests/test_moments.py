@@ -23,6 +23,8 @@ from bgkspectral.moments import (
     _cauchy_halfline_poly,
     _cauchy_halflines,
     _tn_halflines,
+    boundary_jump_array,
+    tn_boundary_array,
     tn_offcut_array,
     tn_pv_array,
 )
@@ -201,8 +203,9 @@ class TestBoundary:
             "lambda_a0_boundary"])
     def test_bad_side(self, boundary, model):
         p, s = model[1.0]
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError) as bad:
             boundary(p, s, "up")
+        assert isinstance(bad.value, ValueError)
         for spellings in (("plus", "+", 1), ("minus", "-", -1)):
             vals = [boundary(p, s, side) for side in spellings]
             assert np.array_equal(vals[0], vals[1])
@@ -321,11 +324,25 @@ def _oracle_batch(rng, a, size, kind):
     sides of 8, and starts with x = +0.0, -0.0; ``near`` and ``far`` keep
     |C| below 6 or at 9 to 40; ``imag`` puts z on the imaginary axis with
     both signs of a zero real part.  Complex points sit at distances
-    log-uniform in [1e-8, 10] * min(1, alpha) from the cut, either side.
+    log-uniform in [1e-8, 10] * min(1, alpha) from the cut, either side,
+    or only above it (``upper``) or below it (``lower``).  ``beyond`` puts
+    them on the real axis past the cut, and ``axis-mixed`` a third of a
+    ``mixed`` batch; ``all-near`` and ``all-far`` are built from Z+
+    (:func:`_whole_batch`).
     """
     alpha = make_params(a).alpha
     if kind == "imag":
         return rng.choice([0.0, -0.0], size) + 1j * rng.choice([-1, 1], size) * rng.uniform(1e-3, 20, size)
+    if kind == "beyond":  # the whole real axis is the cut at a = 0
+        r = (rng.uniform(1e-3, 40.0, size) if a == 0.0
+             else alpha * (1.0 + 10.0 ** rng.uniform(-6, 3, size)))
+        return rng.choice([-1, 1], size) * r + 0j
+    if kind in ("all-near", "all-far"):
+        return _whole_batch(rng, a, size, kind == "all-far")
+    if kind == "axis-mixed":  # every third point moved onto the real axis
+        z = _oracle_batch(rng, a, size, "mixed")
+        z[::3] = _oracle_batch(rng, a, z[::3].size, "beyond")
+        return z
     speed = {"near": (0.0, 6.0), "far": (9.0, 40.0)}.get(kind, (0.0, 12.0))
     c = rng.choice([-1, 1], size) * rng.uniform(*speed, size)
     if kind == "mixed":
@@ -334,7 +351,23 @@ def _oracle_batch(rng, a, size, kind):
     if kind == "real":
         return x
     d = 10.0 ** rng.uniform(-8, 1, size) * min(1.0, alpha)
-    return x + 1j * rng.choice([-1, 1], size) * d
+    side = {"upper": 1, "lower": -1}.get(kind) or rng.choice([-1, 1], size)
+    return x + 1j * side * d
+
+
+def _whole_batch(rng, a, size, far):
+    """Complex points whose Z+ = z/(1 - az) all lie below |Z| = 7.9 or all at
+    8.5 to 1e3; near points keep |Z-| = |z/(1 + az)| below 7.9 too, and far
+    ones keep it on one side of 8 (far at a < 1/16, near at larger a)."""
+    out = np.empty(0, dtype=complex)
+    while out.size < size:
+        r = rng.uniform(8.5, 1e3, 4 * size) if far else rng.uniform(0.0, 7.9, 4 * size)
+        big_z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, 4 * size))
+        z = big_z / (1.0 + a * big_z)
+        zm = np.abs(z / (1.0 + a * z))
+        keep = (zm >= 8.0) == (a < 1.0 / 16.0) if far else zm < 7.9
+        out = np.concatenate([out, z[keep & (z.imag != 0.0)]])
+    return out[:size]
 
 
 def _assert_kernel_matches_complex_route(a, z):
@@ -358,15 +391,31 @@ def test_kernel_matches_complex_route(a, size):
         _assert_kernel_matches_complex_route(a, arg)
 
 
-@pytest.mark.parametrize("kind", ["near", "far", "imag"])
+@pytest.mark.parametrize("kind", ["near", "far", "imag", "axis-mixed"])
 @pytest.mark.parametrize("a", ORACLE_SLOPES)
 def test_kernel_matches_complex_route_by_region(a, kind):
     rng = np.random.default_rng(len(kind))
     for size in (7, 2000):
         z = _oracle_batch(rng, a, size, kind)
         _assert_kernel_matches_complex_route(a, z)
-        if kind != "imag":
+        if kind not in ("imag", "axis-mixed"):
             _assert_kernel_matches_complex_route(a, np.abs(z.real))
+
+
+@pytest.mark.parametrize("kind", ["upper", "lower", "beyond", "all-near", "all-far"])
+@pytest.mark.parametrize("a", ORACLE_SLOPES)
+def test_whole_batches_match_complex_route(a, kind):
+    # a batch wholly in one half-plane, on the axis, near or far takes Phi
+    # and the J rows without masks; the bytes stay those of the masked route
+    rng = np.random.default_rng(len(kind) + 11)
+    for size in (1, 7, 2000):
+        z = _oracle_batch(rng, a, size, kind)
+        _assert_kernel_matches_complex_route(a, z)
+        if kind != "beyond":
+            _assert_kernel_matches_complex_route(a, np.abs(z.real))
+        if kind in ("all-near", "all-far"):  # the same split on the cut
+            big_z = np.abs(z / (1.0 - a * z))
+            _assert_kernel_matches_complex_route(a, big_z / (1.0 + a * big_z))
 
 
 @pytest.mark.parametrize("a", ORACLE_SLOPES)
@@ -385,6 +434,38 @@ def test_scalar_points_match_complex_route(a):
         assert tn_offcut_array(p, z).tobytes() == tn_halflines_oracle(a, z).tobytes()
         for zi in z:
             assert tn_offcut_array(p, zi).tobytes() == tn_halflines_oracle(a, np.asarray(zi)).tobytes()
+
+
+@pytest.mark.parametrize("a", ORACLE_SLOPES)
+def test_boundary_values_match_complex_jump(a):
+    # t_n(x +- i0) keeps the bytes of t_PV + sgn * i*pi*x*C**n*rho formed in
+    # complex arithmetic: the signed zeros of the real part where t_PV is
+    # -0.0 (a = 0 at |x| <= 1e-300 and past 1e80), the +0.0 imaginary part at
+    # x = +-0 and where rho underflows (|C| >= 27), and NaN where C**n overflows
+    p = make_params(a)
+    speeds = np.array([27.0, 30.0, 40.0, 0.3, 3.0])
+    x = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300],
+                        speeds / (1.0 + a * speeds), -speeds / (1.0 + a * speeds)])
+    if a == 0.0:
+        x = np.concatenate([x, [1e80, -1e80, 1e200]])
+        t_pv = tn_pv_array(p, x)
+        assert np.signbit(t_pv[t_pv == 0.0]).any()
+
+    def complex_jump(x):
+        c = np.asarray(velocity_map(p, x), dtype=float)
+        rho = rho_of_c(p, c)
+        return np.stack([1j * math.pi * x * c**n * rho for n in range(5)])
+
+    with np.errstate(all="ignore"):
+        for xs in (x, *x):  # the batch, and each point alone
+            xs = np.asarray(xs)
+            jump = complex_jump(xs)
+            assert boundary_jump_array(p, xs).tobytes() == jump.tobytes(), xs
+            for side, sgn in (("plus", 1.0), ("minus", -1.0)):
+                want = tn_pv_array(p, xs) + sgn * jump
+                assert tn_boundary_array(p, xs, side).tobytes() == want.tobytes(), (side, xs)
+                if xs.ndim == 0:
+                    assert moments_boundary(p, xs, side).t.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("a", ORACLE_SLOPES)

@@ -1,10 +1,18 @@
 """The package's public surface: the names the CLI and the paper need."""
 
+import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import bgkspectral
+from bgkspectral import make_params, moments
+from bgkspectral.dispersion import lambda_fn, lambda_pv
 
 PUBLIC = [
     "DomainError", "EigenData", "EvaluationError", "FM_DECAY_RATE",
@@ -44,3 +52,44 @@ def test_import_leaves_interpolation_out():
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def _tracer_table(name):
+    """A module-level tuple of ``perfbench/tracer.py``, parsed as text so the
+    test does not import the benchmark."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text()
+    table = next(node.value for node in ast.parse(source).body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == name for t in node.targets))
+    return ast.literal_eval(table)
+
+
+@pytest.mark.parametrize("module, function, points_arg", _tracer_table("TRACED"))
+def test_traced_functions_resolve(module, function, points_arg):
+    # the benchmark's tracer wraps these by name and counts the points of
+    # the positional argument at ``points_arg``
+    fn = getattr(importlib.import_module(f"bgkspectral.{module}"), function)
+    assert callable(fn)
+    if points_arg is not None:
+        params = list(inspect.signature(fn).parameters.values())
+        assert params[points_arg].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert params[points_arg].name in ("x", "z")
+
+
+def test_special_functions_are_called_through_moments_globals(monkeypatch):
+    # the tracer counts the special functions' points by patching them in
+    # the ``moments`` namespace, so the kernel must look every call up there:
+    # one point per half-line (at a = 0 the C < 0 half-line reuses them)
+    names = _tracer_table("SPECIAL")
+    points = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _f=getattr(moments, name), _n=name):
+            points[_n] += args[0].size
+            return _f(*args)
+        monkeypatch.setattr(moments, name, counted)
+    for a, per_call in ((1.0, 2), (0.0, 1)):
+        p = make_params(a)
+        lambda_fn(p, None, 0.3 + 0.2j)
+        lambda_pv(p, None, 0.3 * min(1.0, p.alpha))
+        assert points == dict.fromkeys(names, per_call), a
+        points.update(dict.fromkeys(names, 0))
