@@ -190,7 +190,7 @@ def _checks_for(params, scheme):
     with guard("normalization_consistency"):  # on a small eta sample
         etas = np.linspace(-0.8, 0.8, 5) * min(params.alpha, 2.0) / 2.0 if a > 0 else \
             np.linspace(-1.2, 1.2, 5)
-        etas = etas[np.abs(etas) > 1e-3]
+        etas = etas[np.abs(etas) > 1e-3 * min(params.alpha, 1.0)]
         dev = max(float(np.max(normalization_check(params, scheme, e))) for e in etas)
         add("normalization_consistency", dev, 1e-6)
 

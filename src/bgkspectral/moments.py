@@ -20,11 +20,13 @@ exact half-line Gaussian moments plus multiples of the special function
     Phi(Z) = int_0^inf exp(-t**2) / (t - Z) dt,
 
 which is evaluated through the Faddeeva function and the exponential
-integral.  The construction is uniformly accurate for any distance to
-the cut (the fixed quadrature rule, by contrast, loses all digits within
-O(1) of it).  Synthetic division cancels more as |Z| grows, so from
-|Z| = 8 on a point sums the asymptotic moment series of the n = 4 piece to
-its own smallest term and gets n = 3..0 by an exact downward recurrence.
+integral.  The construction keeps its accuracy down to the cut (the fixed
+quadrature rule, by contrast, loses all digits within O(1) of it); far from
+the origin lambda, formed from these moments, loses digits like eps*|z|**4,
+right to 8 digits at |z| = 1e4 and off in the 4th at 1e6.  Synthetic
+division cancels more as |Z| grows, so from |Z| = 8 on a point sums the
+asymptotic moment series of the n = 4 piece to its own smallest term and
+gets n = 3..0 by an exact downward recurrence.
 On the cut every argument is real and the kernel stays in float64 (Dawson
 and Ei for Faddeeva and E1), with the bits complex arithmetic would give.
 At a = 0 the C < 0 half-line sits at -Z+, so Phi(-Z) reuses the special
@@ -34,11 +36,14 @@ test oracle far from the cut (``quadrature_moments`` in ``tests/conftest.py``).
 Byte contract: outputs are pinned bit for bit, so a change keeps each
 operation's operands, their order and numpy's inner loop.  Bits stay with
 ``np.dot`` of complex (1, k) moment rows (the product np.tensordot makes),
-whole-batch calls in place of masked ones and ``out=`` into fresh arrays.
-They move with swapped complex factors (fused multiply-add; hence the
-``.copy()`` for temporary elision), in-place complex products, a float64
-dot, ``/ z`` for ``* (1/z)`` in the real series, broadcast (k, 1) x (k, N)
-products or ``np.multiply.accumulate`` there, and another BLAS batch.
+whole-batch calls in place of masked ones, index gathers and scatters in
+place of mask ones, ``out=`` into fresh arrays or buffer rows, and in the
+series a float64 (k, 1) column of g times a block of power rows, and
+``np.cumsum`` down a block (slower than row-wise adds).  They move with
+swapped complex factors (fused multiply-add; hence the ``.copy()`` for
+temporary elision), in-place complex products, a float64 dot, ``/ z`` for
+``* (1/z)`` in the real series, ``np.multiply.accumulate`` for its powers,
+and another BLAS batch.
 
 Everything here is a pure function of immutable inputs; concurrent use
 needs no coordination.
@@ -66,6 +71,11 @@ _HALF_MOMENT_ROWS = tuple(_HALF_MOMENTS[None, :n + 2].astype(complex) for n in r
 #: |Z| from which a half-line transform takes the moment series and the
 #: downward recurrence instead of Phi and synthetic division
 _SERIES_RADIUS = 8.0
+
+#: orders of the moment series summed per block, and points per chunk, so
+#: that a block's rows stay in cache
+_SERIES_BLOCK = 8
+_SERIES_CHUNK = 2048
 
 
 class Region(enum.Enum):
@@ -153,30 +163,47 @@ def _cauchy_halfline_series(a: float, z) -> np.ndarray:
     J_n(Z) ~ -sum_k g_{n+k} Z**-(k+1), g_m = h_m + 2a h_{m+1} + a**2 h_{m+2}.
     Only J_4 is summed, each point up to its own smallest term (g is
     log-convex, so the terms only grow after it) or until its term is below
-    1e-17 of its sum; finished points leave the working set.  The exact
-    identity J_n = (J_{n+1} - g_n)/Z, stable downward here, gives J_3..J_0;
-    real ``Z`` multiplies by 1/Z, as numpy's complex division by Z + 0j does.
+    1e-17 of its sum.  Points go in chunks of _SERIES_CHUNK and orders in
+    blocks of _SERIES_BLOCK: a block's rows 1..b hold the powers, partial
+    sums and term sizes of its orders, row 0 those carried in; a point that
+    stops in a block stores the sum before or at its stopping order, and the
+    chunk drops it.  The exact identity J_n = (J_{n+1} - g_n)/Z, stable
+    downward here, gives J_3..J_0; real ``Z`` multiplies by 1/Z, as numpy's
+    complex division by Z + 0j does.
     """
     h = _HALF_MOMENTS
     g = h[:-2] + 2.0 * a * h[1:-1] + a * a * h[2:]
     out = np.empty((5, z.size), dtype=z.dtype)
     inv = 1.0 / z
-    live, w, total = np.arange(z.size), inv, np.zeros_like(z)
-    power, prev = -w, np.full(z.shape, np.inf)  # power = -Z**-(k+1)
-    for gm in g[4:]:
-        term = gm * power
-        mag = np.abs(term)
-        grew = mag > prev
-        total = np.where(grew, total, total + term)
-        done = grew | (mag <= 1e-17 * np.abs(total))
-        if np.count_nonzero(done):
-            out[4, live[done]] = total[done]
-            keep = ~done
-            live, w, power, total, mag = live[keep], w[keep], power[keep], total[keep], mag[keep]
-            if not live.size:
-                break
-        prev, power = mag, power * w
-    out[4, live] = total
+    rows = (_SERIES_BLOCK + 1, min(z.size, _SERIES_CHUNK))
+    buf, mbuf = np.empty((3,) + rows, dtype=z.dtype), np.empty(rows)
+    for start in range(0, z.size, _SERIES_CHUNK):
+        stop = min(start + _SERIES_CHUNK, z.size)
+        live, w = np.arange(start, stop), inv[start:stop]
+        carry = -w, 0.0, np.inf  # power = -Z**-(k+1), sum, last |term|
+        for k in range(4, g.size, _SERIES_BLOCK):
+            (power, total, term), mag = buf[:, :, :live.size], mbuf[:, :live.size]
+            power[0], total[0], mag[0] = carry
+            b = min(_SERIES_BLOCK, g.size - k)
+            for j in range(b):
+                np.multiply(power[j], w, out=power[j + 1])
+            np.multiply(g[k:k + b, None], power[:b], out=term[:b])
+            for j in range(b):
+                np.add(total[j], term[j], out=total[j + 1])
+            np.abs(term[:b], out=mag[1:b + 1])
+            grew = mag[1:b + 1] > mag[:b]
+            done = grew | (mag[1:b + 1] <= 1e-17 * np.abs(total[1:b + 1]))
+            ended, keep = done.any(0), slice(None)
+            if ended.any():
+                fin, keep = np.flatnonzero(ended), np.flatnonzero(~ended)
+                first = done[:, fin].argmax(0)  # the sum before a grown term
+                out[4, live[fin]] = total[first + 1 - grew[first, fin], fin]
+                if not keep.size:
+                    break
+                live, w = live[keep], w[keep]
+            carry = power[b, keep], total[b, keep], mag[b, keep]
+        else:  # out of orders
+            out[4, live] = carry[1]
     for n in range(3, -1, -1):
         out[n] = (out[n + 1] - g[n]) / z if z.dtype == complex else (out[n + 1] - g[n]) * inv
     return out
@@ -186,21 +213,22 @@ def _cauchy_halflines(a: float, z: np.ndarray, dp, dm):
     """J_0..J_4 on both half-lines of the points ``z``: at Z+ = z/dp (C > 0)
     and at -Z- = -(z/dm) (C < 0, as u = -C); two (5,) + z.shape arrays in
     the dtype of ``z``.  At a = 0, -Z- is -Z+, and Phi(-Z) = (half - full)/2
-    reuses the special functions of Phi(Z).  Wholly near or far batches skip masks.
+    reuses the special functions of Phi(Z).  The far points of both
+    half-lines share one series call; wholly near or far half-lines skip the
+    index gathers and scatters.
     """
-    outs, mirrored, shape = [], None, (5,) + np.shape(z)
+    outs, pending, mirrored, shape = [], [], None, (5,) + np.shape(z)
     for minus, d in ((False, dp), (True, dm)):
         zh = (-(z / d) if minus else z / d).reshape(-1)
+        out = np.empty((5, zh.size), dtype=zh.dtype)
         far = np.abs(zh) >= _SERIES_RADIUS
         n_far = np.count_nonzero(far)
-        if n_far == zh.size > 0:
-            outs.append(_cauchy_halfline_series(a, zh).reshape(shape))
-            continue
-        out, near = np.empty((5, zh.size), dtype=zh.dtype), slice(None)
         if n_far:
-            out[:, far], near = _cauchy_halfline_series(a, zh[far]), ~far
-        zn = zh[near]
-        if zn.size:
+            at = slice(None) if n_far == zh.size else np.flatnonzero(far)
+            pending.append((out, at, zh[at]))
+        if n_far < zh.size:
+            near = slice(None) if not n_far else np.flatnonzero(~far)
+            zn = zh[near]
             if mirrored is None:
                 full, half = _phi_pieces(zn)
                 phi = 0.5 * (full + half)
@@ -209,11 +237,14 @@ def _cauchy_halflines(a: float, z: np.ndarray, dp, dm):
                 del full, half
             else:
                 phi = mirrored
-            rows = _cauchy_halfline_poly(a, zn, phi)
-            for n in range(5):  # each row freed once stored
-                out[n, near] = next(rows)
-            del zn, phi, rows  # the suspended generator holds the quotient
+            for n, row in enumerate(_cauchy_halfline_poly(a, zn, phi)):
+                out[n, near] = row  # each row freed once stored
+            del zn, phi, row
         outs.append(out.reshape(shape))
+    if pending:  # the far points of both half-lines
+        rows, start = _cauchy_halfline_series(a, np.concatenate([p[2] for p in pending])), 0
+        for out, at, zf in pending:
+            out[:, at], start = rows[:, start:start + zf.size], start + zf.size
     return outs
 
 

@@ -88,11 +88,12 @@ def make_scheme(params: GasParams) -> QuadratureScheme:
 
 def _sym_sum(weights: np.ndarray, plus, minus):
     """sum(weights * (plus + minus)) over the two half-lines, with a non-finite
-    guard; ``plus`` and ``minus`` are an integrand at the nodes and at -nodes."""
+    guard; ``plus`` and ``minus`` are an integrand at the nodes and at -nodes,
+    the nodes along their last axis."""
     vals = np.asarray(plus) + np.asarray(minus)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("integrand returned non-finite values")
-    return np.sum(weights * vals)
+    return np.sum(weights * vals, axis=-1)
 
 
 def integrate_weighted(scheme: QuadratureScheme, f):
@@ -119,7 +120,8 @@ def integrate_pv(scheme: QuadratureScheme, f, pole: float):
     principal value is ``-2 sqrt(pi) H(Cx) dawsn(Cx)``) and integrates the
     smooth remainder with the scheme's Gaussian weights.
 
-    ``f`` must accept ndarray arguments.
+    ``f`` must accept ndarray arguments; values with leading axes, the
+    speeds along the last, give one principal value each.
 
     Raises
     ------
@@ -142,7 +144,7 @@ def integrate_pv(scheme: QuadratureScheme, f, pole: float):
         np.divide(num, den, out=ratio, where=ok)
         return np.asarray(f(c)) * (1.0 + p.a * np.abs(c)) * ratio
 
-    h0 = np.asarray(f(np.array([cx]))).ravel()[0] * (1.0 + p.a * abs(cx)) ** 3
+    h0 = np.asarray(f(np.array([cx]))) * (1.0 + p.a * abs(cx)) ** 3  # (..., 1)
 
     def regular(c):
         c = np.asarray(c, dtype=float)
@@ -151,13 +153,13 @@ def integrate_pv(scheme: QuadratureScheme, f, pole: float):
         near = np.abs(d) <= 1e-9
         if np.any(near):
             step = 1e-5
-            dh = (h_tilde(np.array([cx + step])) - h_tilde(np.array([cx - step])))[0]
-            out[near] = dh / (2.0 * step)
+            dh = h_tilde(np.array([cx + step])) - h_tilde(np.array([cx - step]))
+            out[..., near] = dh / (2.0 * step)
         return out
 
     c = scheme.nodes
     smooth = _sym_sum(scheme.weights_gauss, regular(c), regular(-c))
-    return smooth + h0 * (-2.0 * np.sqrt(np.pi)) * dawsn(cx)
+    return smooth + h0[..., 0] * (-2.0 * np.sqrt(np.pi)) * dawsn(cx)
 
 
 def gauss_panels(lo: float, hi: float, breakpoints=(), n_panels: int = 12,

@@ -286,15 +286,15 @@ def normalization_check(params: GasParams, scheme: QuadratureScheme,
     data = eigen_data(params, eta)
     prefactor = eta * data.rho / data.lambda_pv
 
+    def f(c):
+        q = _q_tilde(params, data.cofactors, velocity_map(params, mu_of(params, c)))
+        return -q * np.stack([np.ones_like(c), c, c**2])
+
+    # PV int Q~ C^a rho/(eta-mu) dmu  ==  -PV int w(C) f.../(mu(C)-eta) dC
+    pv_part = prefactor * integrate_pv(scheme, f, eta)
     deviations = np.empty(3)
     for a_idx in range(3):
-        def f(c, a_idx=a_idx):
-            mu = mu_of(params, c)
-            return -_q_tilde(params, data.cofactors, velocity_map(params, mu)) * c**a_idx
-
-        # PV int Q~ C^a rho/(eta-mu) dmu  ==  -PV int w(C) f.../(mu(C)-eta) dC
-        pv_part = prefactor * integrate_pv(scheme, f, eta)
-        direct = pv_part + data.rho * data.c_eta**a_idx
+        direct = pv_part[a_idx] + data.rho * data.c_eta**a_idx
         closed = data.rho * data.cofactors[a_idx] / data.lambda_pv
         deviations[a_idx] = abs(direct - closed)
     return deviations

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bgkspectral import cli
 from bgkspectral.cli import main
 
 SQPI = math.sqrt(math.pi)
@@ -119,16 +120,33 @@ class TestSpectrumVerify:
             math.sqrt(3 * math.pi) / 2)
         assert "discrepancy" in entry
 
+    #: normalization_consistency where its eta sample, filtered at 1e-3
+    #: instead of 1e-3 * min(alpha, 1), was empty; the growth from a ~ 120
+    #: fails it at 1e3 (ROADMAP item 1)
+    NORMALIZATION = {"1e3": ("fail", 3.95e-6), "1e5": ("pass", 5.61e-9)}
+
     @pytest.mark.parametrize("a", ["1e3", "1e5"])
-    def test_crashing_check_becomes_error_entry(self, capsys, a):
-        # the eta sample of normalization_consistency is empty at these
-        # slopes: that check errors, and the rest of the report is written
+    def test_crashing_check_becomes_error_entry(self, capsys, monkeypatch, a):
+        # the check runs at these slopes; one that raises still becomes an
+        # error entry, and the rest of the report is written
+        code, out, _ = run_cli(capsys, "spectrum-verify", "--a", a)
+        entry = next(c for c in json.loads(out)["checks"]
+                     if c["check"] == "normalization_consistency")
+        status, value = self.NORMALIZATION[a]
+        assert entry["status"] == status
+        assert entry["value"] == pytest.approx(value, rel=1e-3)
+        assert code == 1  # zero_count still fails here
+
+        def crash(*args):
+            raise ValueError("max() arg is an empty sequence")
+
+        monkeypatch.setattr(cli, "normalization_check", crash)
         code, out, _ = run_cli(capsys, "spectrum-verify", "--a", a)
         rep = json.loads(out)
         assert code == 1 and rep["status"] == "fail"
         entry = next(c for c in rep["checks"] if c["check"] == "normalization_consistency")
         assert entry["status"] == "error"
-        assert entry["message"]
+        assert entry["message"] == "max() arg is an empty sequence"
         assert {"conservation_number", "laurent_order",
                 "fm_mode_residual_max"} <= {c["check"] for c in rep["checks"]}
 
@@ -365,8 +383,11 @@ VERIFY_DIGESTS = {
     "1": ("d6dbdb38b52f65bd3cb95f5076a79c7a25f22d2a5144639a9caaf235e21da2c0", 0),
     "10": ("df74832ad94732c9486cb49983a9956f8d318a1f3079119005a5584f17e6ec93", 1),
     "100": ("2a3e3352c0e1fa1013d38545ce0577627131563c5b041dc00b5959c1968c1977", 1),
-    "1e3": ("f6f445c595efb066de98264659b5a9512308143bdcdaea719e219d396f7dbdce", 1),
-    "1e5": ("41af61400914e02e0b90eebfae50b656c3e4de3cb85f7b8d3122e51b0248b11b", 1),
+    # re-pinned when the eta sample of normalization_consistency began to
+    # scale with alpha: the check now runs at these slopes instead of
+    # erroring on an empty sample
+    "1e3": ("d049f1ee0c263843717fa2e67ce2779dc6dcab48c60ea6070849ee30217c5b52", 1),
+    "1e5": ("323ff87343e6f1d85b1bdffb09df0010c38ab28d6effe18976f3c05234e584c3", 1),
 }
 
 

@@ -17,10 +17,13 @@ from bgkspectral import (
     moments_boundary,
     moments_pv,
 )
+from bgkspectral import moments
 from bgkspectral.dispersion import _assemble, _cofactors, _det3, lambda_fn, lambda_pv
 from bgkspectral.moments import (
+    _SERIES_CHUNK,
     _SERIES_RADIUS,
     _cauchy_halfline_poly,
+    _cauchy_halfline_series,
     _cauchy_halflines,
     _tn_halflines,
     boundary_jump_array,
@@ -35,6 +38,7 @@ from conftest import (
     A_GRID,
     asymptotic_moments,
     cauchy_halfline_poly_oracle,
+    cauchy_halfline_series_oracle,
     halflines_oracle,
     phi_halfline_oracle,
     quadrature_moments,
@@ -434,6 +438,48 @@ def test_scalar_points_match_complex_route(a):
         assert tn_offcut_array(p, z).tobytes() == tn_halflines_oracle(a, z).tobytes()
         for zi in z:
             assert tn_offcut_array(p, zi).tobytes() == tn_halflines_oracle(a, np.asarray(zi)).tobytes()
+
+
+@pytest.mark.parametrize("a", ORACLE_SLOPES)
+def test_blocked_series_matches_per_order_oracle(a):
+    # points in chunks and orders in blocks keep the bytes of the per-order
+    # sum: just past |Z| = 8, where the series is longest (up to 51 orders),
+    # log-uniform up to 1e18, where it stops after one order, and below 8,
+    # reached only by a direct call, where the terms grow
+    rng = np.random.default_rng(17)
+    for size in (1, 7, _SERIES_CHUNK - 1, _SERIES_CHUNK, _SERIES_CHUNK + 1, 5000):
+        for r in (rng.uniform(8.0, 8.05, size), 10.0 ** rng.uniform(math.log10(8.0), 18.0, size),
+                  rng.uniform(1.0, 8.0, size)):
+            z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, size))
+            assert _cauchy_halfline_series(a, z).tobytes() == \
+                cauchy_halfline_series_oracle(a, z).tobytes(), size
+            x = r * rng.choice([-1.0, 1.0], size)
+            got = _cauchy_halfline_series(a, x)
+            assert got.dtype == float
+            assert got.tobytes() == cauchy_halfline_series_oracle(a, x + 0j).real.tobytes(), size
+
+
+@pytest.mark.parametrize("a", ORACLE_SLOPES)
+def test_one_series_call_for_both_half_lines(a, monkeypatch):
+    calls = []
+
+    def counting(a, z):
+        calls.append(z.size)
+        return series(a, z)
+
+    series = moments._cauchy_halfline_series
+    monkeypatch.setattr(moments, "_cauchy_halfline_series", counting)
+    p = make_params(a)
+    z = _oracle_batch(np.random.default_rng(23), a, 2000, "mixed")
+    for evaluate, arg in ((tn_offcut_array, z), (tn_pv_array, np.abs(z.real))):
+        n_far = [np.count_nonzero(np.abs(zh) >= _SERIES_RADIUS)
+                 for zh in (arg / (1.0 - a * arg), arg / (1.0 + a * arg))]
+        # off the cut both half-lines have far points; on it the C < 0
+        # half-line stays below |Z| = 1/a
+        assert min(n_far) > 0 or (evaluate is tn_pv_array and a > 1.0 / 16.0)
+        calls.clear()
+        evaluate(p, arg)
+        assert calls == [sum(n_far)], (evaluate.__name__, n_far)
 
 
 @pytest.mark.parametrize("a", ORACLE_SLOPES)
