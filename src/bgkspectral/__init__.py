@@ -22,7 +22,6 @@ from .params import (
     make_params,
     mu_of,
     velocity_map,
-    weight,
 )
 from .quadrature import (
     QuadratureScheme,
@@ -31,13 +30,7 @@ from .quadrature import (
     make_scheme,
     pv_interval,
 )
-from .moments import (
-    MomentSet,
-    Region,
-    moments_at,
-    moments_boundary,
-    moments_pv,
-)
+from .moments import tn_boundary_array, tn_offcut_array, tn_pv_array
 from .dispersion import (
     SokhotskyJump,
     count_zeros,
@@ -81,10 +74,10 @@ __all__ = [
     "DomainError", "EvaluationError", "IllConditionedContourError",
     "WrongRegionError",
     "GasParams", "make_params", "velocity_map", "mu_of",
-    "weight", "kernel_q_c",
+    "kernel_q_c",
     "QuadratureScheme", "make_scheme", "integrate_weighted", "integrate_pv",
     "pv_interval",
-    "MomentSet", "Region", "moments_at", "moments_pv", "moments_boundary",
+    "tn_offcut_array", "tn_pv_array", "tn_boundary_array",
     "SokhotskyJump", "lambda_matrix", "lambda_fn", "lambda_pv", "lambda_boundary",
     "sokhotsky_jump", "count_zeros", "laurent_order_at_infinity",
     "keyhole_contour", "semicircle_contour",

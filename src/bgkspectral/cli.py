@@ -52,7 +52,7 @@ from .limits import (
     fm_residual,
     lambda_a0,
 )
-from .moments import Region, moments_at, moments_boundary, moments_pv
+from .moments import tn_boundary_array, tn_offcut_array, tn_pv_array
 from .params import kernel_q_c, make_params, on_cut
 from .quadrature import integrate_weighted, make_scheme
 from .spectrum import discrete_solution, discrete_solution_dx, normalization_check, residual_2_4
@@ -338,17 +338,13 @@ def cmd_fm_solve(args, parser) -> int:
 def cmd_dispersion_eval(args, parser) -> int:
     z = complex(args.z_re, args.z_im)
     params = make_params(args.a)
-    if on_cut(params, z):
-        if args.side == "pv":
-            ms = moments_pv(params, z.real)
-        else:
-            ms = moments_boundary(params, z.real, args.side)
+    if not on_cut(params, z):
+        region, t = "off-cut", tn_offcut_array(params, z)
+    elif args.side == "pv":
+        region, t = "on-cut-pv", tn_pv_array(params, z.real)
     else:
-        ms = moments_at(params, z)
-    region = ms.region.value
-    lam = complex(_det3(lambda_matrix(params, ms)))
-    if ms.region is Region.ON_CUT_PV:
-        lam = complex(lam.real)  # drop the signed zero of the complex arithmetic
+        region, t = f"boundary-{args.side}", tn_boundary_array(params, z.real, args.side)
+    lam = complex(_det3(lambda_matrix(params, t)))
     header = ("z_re", "z_im", "region", "lambda_re", "lambda_im", "abs_lambda")
     row = (z.real, z.imag, region, lam.real, lam.imag, abs(lam))
     if args.format == "json":
@@ -358,7 +354,7 @@ def cmd_dispersion_eval(args, parser) -> int:
             "z": [z.real, z.imag],
             "region": region,
             "lambda": [lam.real, lam.imag],
-            "t": [[t.real, t.imag] for t in ms.t],
+            "t": [[tn.real, tn.imag] for tn in t],
         })
     else:
         _write_csv(args.out, header, [row])

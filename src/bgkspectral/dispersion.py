@@ -1,8 +1,10 @@
 """Dispersion matrix, determinant, cofactors, boundary relations, zeros.
 
 The 3x3 dispersion matrix couples the three weighted moments of a
-continuum eigenfunction.  Its entries are assembled from the moment
-integrals by the structural rule (column = which moment multiplies,
+continuum eigenfunction.  ``lambda_matrix`` assembles its entries from
+the moments t0..t4 (off the cut, as principal values or as boundary
+values: ``tn_offcut_array``, ``tn_pv_array``, ``tn_boundary_array`` in
+``moments``) by the structural rule (column = which moment multiplies,
 row = which invariant is projected):
 
     entry(row, 0) = delta + (r0 + beta**2 r2) t_row - beta r2 t_{row+2}
@@ -29,20 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationError, IllConditionedContourError
-from .moments import (
-    MomentSet,
-    boundary_jump_array,
-    off_cut_points,
-    tn_boundary_array,
-    tn_offcut_array,
-    tn_pv_array,
-)
+from .moments import boundary_jump_array, tn_boundary_array, tn_offcut_array, tn_pv_array
 from .params import GasParams, on_cut, require_finite, rho_of_c, velocity_map
 from .quadrature import QuadratureScheme
 
 
-def _assemble(params: GasParams, t: np.ndarray) -> np.ndarray:
-    """Apply the assembly rule to t-values (shape (5,) + tail), in their dtype."""
+def lambda_matrix(params: GasParams, t: np.ndarray) -> np.ndarray:
+    """The 3x3 dispersion matrix (shape (3, 3) + tail) by the assembly rule
+    from t0..t4 (shape (5,) + tail, as the ``tn_*_array`` functions give
+    them), in their dtype."""
     beta, r0, r1, r2 = params.beta, params.r0, params.r1, params.r2
     tail = t.shape[1:]
     m = np.zeros((3, 3) + tail, dtype=t.dtype)
@@ -61,11 +58,6 @@ def _det3(m: np.ndarray):
         - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
         + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
     )
-
-
-def lambda_matrix(params: GasParams, moments: MomentSet) -> np.ndarray:
-    """The 3x3 dispersion matrix built from a moment set."""
-    return _assemble(params, moments.t)
 
 
 def _cofactors(matrix: np.ndarray, c) -> np.ndarray:
@@ -101,10 +93,9 @@ def lambda_fn(params: GasParams, scheme: QuadratureScheme, z):
 
     Accepts scalars or arrays.  The determinant is evaluated directly from
     the assembled 3x3 matrix.  Points that are not finite or lie on the cut
-    raise as in :func:`~bgkspectral.moments.off_cut_points`.
+    raise as in :func:`~bgkspectral.moments.tn_offcut_array`.
     """
-    z = off_cut_points(params, z)
-    det = _det3(_assemble(params, tn_offcut_array(params, z)))
+    det = _det3(lambda_matrix(params, tn_offcut_array(params, z)))
     return complex(det) if det.ndim == 0 else det
 
 
@@ -115,13 +106,13 @@ def lambda_pv(params: GasParams, scheme: QuadratureScheme, x):
     matrix is rank one, so the even part of the determinant is the PV
     determinant).
     """
-    det = _det3(_assemble(params, tn_pv_array(params, np.asarray(x, dtype=float))))
+    det = _det3(lambda_matrix(params, tn_pv_array(params, np.asarray(x, dtype=float))))
     return float(det) if det.ndim == 0 else det
 
 
 def lambda_boundary(params: GasParams, scheme: QuadratureScheme, x, side: str):
     """Boundary values lambda(x +- i0) on the cut; vectorized over x."""
-    det = _det3(_assemble(params, tn_boundary_array(params, x, side)))
+    det = _det3(lambda_matrix(params, tn_boundary_array(params, x, side)))
     return complex(det) if det.ndim == 0 else det
 
 
@@ -150,9 +141,9 @@ def sokhotsky_jump(params: GasParams, x: float) -> SokhotskyJump:
     x = float(x)
     t_pv = tn_pv_array(params, x)
     half_jump = boundary_jump_array(params, x)
-    lp = complex(_det3(_assemble(params, t_pv + half_jump)))
-    lm = complex(_det3(_assemble(params, t_pv - half_jump)))
-    m_pv = _assemble(params, t_pv)
+    lp = complex(_det3(lambda_matrix(params, t_pv + half_jump)))
+    lm = complex(_det3(lambda_matrix(params, t_pv - half_jump)))
+    m_pv = lambda_matrix(params, t_pv)
     c = velocity_map(params, x)
     qt = float(_q_tilde(params, _cofactors(m_pv, c), c))
     rho = float(rho_of_c(params, np.asarray(c)))

@@ -4,7 +4,9 @@ For a point ``z`` off the spectral cut,
 
     t_n(z) = z * int_{-alpha}^{alpha} C(mu)**n rho(mu) / (mu - z) d(mu),
 
-with principal-value and boundary-value variants on the cut.  In the
+with principal-value and boundary-value variants on the cut:
+``tn_offcut_array``, ``tn_pv_array`` and ``tn_boundary_array`` give the
+three for a scalar point or an array of them, t_n on a leading axis.  In the
 speed variable the integral becomes ``z * int exp(-C**2)(1+a|C|) C**n /
 (mu(C) - z) dC`` over the real line, and on each half-line the velocity
 map is a Moebius function of ``C``, so the Cauchy kernel factorizes
@@ -51,9 +53,7 @@ needs no coordination.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import dawsn, exp1, expi, gamma, wofz
@@ -76,24 +76,6 @@ _SERIES_RADIUS = 8.0
 #: that a block's rows stay in cache
 _SERIES_BLOCK = 8
 _SERIES_CHUNK = 2048
-
-
-class Region(enum.Enum):
-    """Where a moment/dispersion evaluation lives relative to the cut."""
-
-    OFF_CUT = "off-cut"
-    ON_CUT_PV = "on-cut-pv"
-    BOUNDARY_PLUS = "boundary-plus"
-    BOUNDARY_MINUS = "boundary-minus"
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """t0..t4 at one point, tagged by region; ``t`` is complex (5,), PV values too."""
-
-    point: complex
-    region: Region
-    t: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +253,17 @@ def _tn_halflines(a: float, z: np.ndarray) -> np.ndarray:
 def tn_offcut_array(params: GasParams, z) -> np.ndarray:
     """t0..t4 at points off the cut; shape (5,) + z.shape, complex.
 
-    No region validation is performed here; use :func:`moments_at` for the
-    checked scalar interface.  Below |z| = 1e-150, where Z**2 would
-    underflow, |t_n| = O(|z| log|z|) is below 1e-147 and t_n is set to 0.
+    ``z`` is any point not on the closed cut (the whole real axis when
+    a = 0): DomainError if a point is not finite, WrongRegionError if one
+    lies on the closed cut (:func:`tn_pv_array` and :func:`tn_boundary_array`
+    take those).  Below |z| = 1e-150, where Z**2 would underflow,
+    |t_n| = O(|z| log|z|) is below 1e-147 and t_n is set to 0.
     """
     z = np.asarray(z, dtype=complex)
+    require_finite("point", z)
+    if np.count_nonzero(on_cut(params, z)):
+        raise WrongRegionError(
+            "point lies on the spectral cut; use the PV or boundary-value entry points")
     tiny = np.abs(z) < 1e-150
     out = _tn_halflines(params.a, np.where(tiny, 1j, z) if np.count_nonzero(tiny) else z)
     out[:, tiny] = 0.0
@@ -296,52 +284,22 @@ def tn_pv_array(params: GasParams, x) -> np.ndarray:
 
 
 def boundary_jump_array(params: GasParams, x) -> np.ndarray:
-    """The Plemelj half-jump i*pi*x*C(x)**n*rho(x); shape (5,) + x.shape."""
+    """The Plemelj half-jump i*pi*x*C(x)**n*rho(x); shape (5,) + x.shape.
+
+    At a = 0 past |x| of about 1e77, rho underflows to 0 and C**n
+    overflows; the entries 0 * inf makes NaN there are 0.
+    """
     x = np.asarray(x, dtype=float)
     c = np.asarray(velocity_map(params, x), dtype=float)
-    rho = rho_of_c(params, c)
     jx = 1j * math.pi * x
-    return np.stack([jx * c**n * rho for n in range(5)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = rho_of_c(params, c)
+        out = np.stack([jx * c**n * rho for n in range(5)])
+    np.copyto(out, 0.0, where=np.isnan(out))
+    return out
 
 
 def tn_boundary_array(params: GasParams, x, side) -> np.ndarray:
     """Boundary values t_n(x +- i0) = t_n^PV(x) +- i*pi*x*C(x)**n*rho(x)."""
     sgn = side_sign(side)
     return tn_pv_array(params, x) + sgn * boundary_jump_array(params, x)
-
-
-def off_cut_points(params: GasParams, z) -> np.ndarray:
-    """``z`` as a complex array; DomainError if a point is not finite,
-    WrongRegionError if one lies on the closed cut (the PV and boundary-value
-    entry points take those)."""
-    z = np.asarray(z, dtype=complex)
-    require_finite("point", z)
-    if np.count_nonzero(on_cut(params, z)):
-        raise WrongRegionError(
-            "point lies on the spectral cut; use the PV or boundary-value entry points")
-    return z
-
-
-def moments_at(params: GasParams, z) -> MomentSet:
-    """Moment set at a complex point off the cut ``[-alpha, alpha]``.
-
-    ``z`` is any point not on the closed cut (the whole real axis when
-    a = 0); :func:`off_cut_points` names the errors.
-    """
-    z = complex(off_cut_points(params, z))
-    return MomentSet(point=z, region=Region.OFF_CUT, t=tn_offcut_array(params, z))
-
-
-def moments_pv(params: GasParams, x: float) -> MomentSet:
-    """Principal-value moment set at a real point inside the cut."""
-    x = float(x)
-    t = tn_pv_array(params, np.asarray(x)).astype(complex)
-    return MomentSet(point=complex(x), region=Region.ON_CUT_PV, t=t)
-
-
-def moments_boundary(params: GasParams, x: float, side: str) -> MomentSet:
-    """Boundary values t_n(x +- i0) = t_n^PV(x) +- i*pi*x*C(x)**n*rho(x)."""
-    x = float(x)
-    region = Region.BOUNDARY_PLUS if side_sign(side) > 0 else Region.BOUNDARY_MINUS
-    t = tn_boundary_array(params, x, side)
-    return MomentSet(point=complex(x), region=region, t=t)

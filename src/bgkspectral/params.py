@@ -156,23 +156,6 @@ def on_cut(params: GasParams, z) -> np.ndarray:
     return (z.imag == 0.0) & (np.abs(z.real) <= params.alpha)
 
 
-def weight(params: GasParams, mu):
-    """Transport-space weight rho(mu) = exp(-C(mu)**2) * (1 - a|mu|)**-3.
-
-    Even in ``mu``; vanishes together with every product ``rho * C**n`` at
-    the interval endpoints, which are handled as limits (value 0) rather
-    than as errors.  A ``mu`` that is not finite raises DomainError.
-    """
-    mu = np.asarray(mu, dtype=float)
-    require_finite("mu", mu)
-    one_minus = 1.0 - params.a * np.abs(mu)
-    inside = one_minus > 0.0
-    c = np.where(inside, mu / np.where(inside, one_minus, 1.0), 0.0)
-    rho = np.where(inside, np.exp(-c * c) / np.where(inside, one_minus, 1.0) ** 3,
-                   0.0)
-    return rho if rho.ndim else float(rho)
-
-
 def rho_of_c(params: GasParams, c):
     """rho at the transport point whose speed image is ``c``: e^{-C^2}(1+a|C|)^3."""
     c = np.asarray(c, dtype=float)

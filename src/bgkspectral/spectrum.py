@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .dispersion import _assemble, _cofactors, _det3, _q_tilde
+from .dispersion import _cofactors, _det3, _q_tilde, lambda_matrix
 from .moments import tn_pv_array
 from .params import GasParams, mu_of, require_finite, rho_of_c, velocity_map
 from .quadrature import QuadratureScheme, _sym_sum, integrate_pv, pv_interval
@@ -89,7 +89,7 @@ class EigenData:
 def _eigen_arrays(params: GasParams, eta):
     """PV determinant, PV cofactors, rho and C at cut points ``eta``, vectorized."""
     eta = np.asarray(eta, dtype=float)
-    m = _assemble(params, tn_pv_array(params, eta))
+    m = lambda_matrix(params, tn_pv_array(params, eta))
     c = velocity_map(params, eta)
     return _det3(m), _cofactors(m, c), rho_of_c(params, c), c
 

@@ -197,6 +197,24 @@ def lambda_c_stable(z):
     return 1.0 - 2.0 * z * z * integral + sgn * 1j * math.sqrt(math.pi) * z * np.exp(-z * z)
 
 
+def weight(params, mu):
+    """Transport-space weight rho(mu) = exp(-C(mu)**2) * (1 - a|mu|)**-3,
+    the oracle of rho(mu) d(mu) = w(C) dC.
+
+    Even in ``mu``; vanishes together with every product ``rho * C**n`` at
+    the interval endpoints, which are handled as limits (value 0) rather
+    than as errors.  A ``mu`` that is not finite raises DomainError.
+    """
+    mu = np.asarray(mu, dtype=float)
+    require_finite("mu", mu)
+    one_minus = 1.0 - params.a * np.abs(mu)
+    inside = one_minus > 0.0
+    c = np.where(inside, mu / np.where(inside, one_minus, 1.0), 0.0)
+    rho = np.where(inside, np.exp(-c * c) / np.where(inside, one_minus, 1.0) ** 3,
+                   0.0)
+    return rho if rho.ndim else float(rho)
+
+
 def adaptive_pv(params, f, x, lim=8.6):
     """Adaptive two-sided oracle for PV int w(C) f(C)/(mu(C) - x) dC.
 

@@ -26,11 +26,11 @@ from bgkspectral import (
     laurent_order_at_infinity,
     make_params,
     make_scheme,
-    moments_at,
     normalization_check,
     residual_2_4,
     semicircle_contour,
     sokhotsky_jump,
+    tn_offcut_array,
 )
 from bgkspectral import lambda_a0
 from bgkspectral.limits import fm_basis, fm_projection_inner
@@ -129,8 +129,8 @@ def test_criterion_06_plemelj_sokhotsky(model):
     for x in xs:
         jmp = {}
         for eps in (2e-6, 1e-6):
-            tp = moments_at(p, complex(x, eps)).t
-            tm = moments_at(p, complex(x, -eps)).t
+            tp = tn_offcut_array(p, complex(x, eps))
+            tm = tn_offcut_array(p, complex(x, -eps))
             jmp[eps] = tp - tm
         extrap = 2.0 * jmp[1e-6] - jmp[2e-6]
         claim = boundary_jump_array(p, np.asarray(x)) * 2.0

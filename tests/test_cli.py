@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,30 @@ class TestDispersionEval:
         rep = json.loads(out)
         assert rep["region"] == "off-cut"
         assert len(rep["t"]) == 5
+
+    @pytest.mark.parametrize("argv, region", [
+        (["--z-re", "0", "--z-im", "2"], "off-cut"),
+        (["--z-re", "0.3", "--z-im", "1e-3", "--side", "plus"], "off-cut"),
+        (["--z-re", "0.3"], "on-cut-pv"),
+        (["--z-re", "0.3", "--side", "plus"], "boundary-plus"),
+        (["--z-re", "-0.3", "--side", "minus"], "boundary-minus"),
+    ])
+    def test_region_strings(self, capsys, argv, region):
+        _, out, _ = run_cli(capsys, "dispersion-eval", "--a", "1", *argv)
+        assert parse_csv(out)[1][0][2] == region
+        _, out, _ = run_cli(capsys, "dispersion-eval", "--a", "1", *argv, "--format", "json")
+        assert json.loads(out)["region"] == region
+
+    def test_boundary_far_out_at_a0_is_finite(self, capsys):
+        # rho underflows and C**n overflows there; the jump was 0 * inf = NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "dispersion-eval", "--a", "0",
+                                     "--z-re", "1e100", "--side", "plus")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert rows[0][2] == "boundary-plus"
+        assert all(math.isfinite(float(v)) for v in rows[0][3:])
 
     @pytest.mark.parametrize("a", ["0", "1", "100"])
     def test_point_where_z_squared_underflows(self, capsys, a):

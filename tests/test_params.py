@@ -23,11 +23,10 @@ from bgkspectral import (
     pv_interval,
     residual_2_4,
     velocity_map,
-    weight,
 )
 from bgkspectral.quadrature import integrate_weighted
 
-from conftest import A_GRID, adaptive_weighted, lambda_c_stable
+from conftest import A_GRID, adaptive_weighted, lambda_c_stable, weight
 
 SQPI = math.sqrt(math.pi)
 
