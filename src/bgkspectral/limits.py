@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import dawsn, wofz
 
 from .errors import DomainError
-from .params import require_finite, side_sign
+from .params import require_finite, require_real, side_sign
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -67,7 +67,7 @@ def lambda_c(z):
 
 def lambda_c_pv(x):
     """Principal-value symbol of lambda_C on the real axis: 1 - 2x D(x), x finite."""
-    x = np.asarray(x, dtype=float)
+    x = require_real("x", x)
     require_finite("x", x)
     v = 1.0 - 2.0 * x * dawsn(x)
     return float(v) if v.ndim == 0 else v
@@ -75,7 +75,7 @@ def lambda_c_pv(x):
 
 def lambda_c_boundary(x, side: str):
     """Boundary values lambda_C(x +- i0) = PV +- i sqrt(pi) x exp(-x**2)."""
-    x = np.asarray(x, dtype=float)
+    x = require_real("x", x)
     v = lambda_c_pv(x) + side_sign(side) * 1j * SQRT_PI * x * np.exp(-x * x)
     return complex(v) if np.ndim(v) == 0 else v
 
@@ -89,14 +89,14 @@ def lambda_a0(z):
 
 def lambda_a0_pv(x):
     """PV symbol of the constant-frequency dispersion function on the axis."""
-    x = np.asarray(x, dtype=float)
+    x = require_real("x", x)
     v = -0.5 - (x * x - 1.5) * lambda_c_pv(x)
     return float(v) if v.ndim == 0 else v
 
 
 def lambda_a0_boundary(x, side: str):
     """Boundary values of the constant-frequency dispersion function."""
-    x = np.asarray(x, dtype=float)
+    x = require_real("x", x)
     v = -0.5 - (x * x - 1.5) * lambda_c_boundary(x, side)
     return complex(v) if np.ndim(v) == 0 else v
 

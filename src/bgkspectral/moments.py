@@ -59,7 +59,8 @@ import numpy as np
 from scipy.special import dawsn, exp1, expi, gamma, wofz
 
 from .errors import DomainError, WrongRegionError
-from .params import GasParams, on_cut, require_finite, rho_of_c, side_sign, velocity_map
+from .params import (GasParams, on_cut, require_finite, require_real, rho_of_c, side_sign,
+                     velocity_map)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -250,6 +251,27 @@ def _tn_halflines(a: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _offcut_points(params: GasParams, z) -> np.ndarray:
+    """``z`` as a complex array, checked to lie off the closed cut as
+    :func:`tn_offcut_array` requires."""
+    z = np.asarray(z, dtype=complex)
+    require_finite("point", z)
+    if np.count_nonzero(on_cut(params, z)):
+        raise WrongRegionError(
+            "point lies on the spectral cut; use the PV or boundary-value entry points")
+    return z
+
+
+def _cut_points(params: GasParams, x) -> np.ndarray:
+    """``x`` as a float64 array, checked to lie inside the open cut as
+    :func:`tn_pv_array` requires."""
+    x = require_real("cut point", x)
+    if np.count_nonzero(np.abs(x) < params.alpha) < x.size:  # NaN fails the comparison too
+        raise DomainError(
+            f"cut point must be a number inside (-{params.alpha}, {params.alpha})")
+    return x
+
+
 def tn_offcut_array(params: GasParams, z) -> np.ndarray:
     """t0..t4 at points off the cut; shape (5,) + z.shape, complex.
 
@@ -259,11 +281,7 @@ def tn_offcut_array(params: GasParams, z) -> np.ndarray:
     take those).  Below |z| = 1e-150, where Z**2 would underflow,
     |t_n| = O(|z| log|z|) is below 1e-147 and t_n is set to 0.
     """
-    z = np.asarray(z, dtype=complex)
-    require_finite("point", z)
-    if np.count_nonzero(on_cut(params, z)):
-        raise WrongRegionError(
-            "point lies on the spectral cut; use the PV or boundary-value entry points")
+    z = _offcut_points(params, z)
     tiny = np.abs(z) < 1e-150
     out = _tn_halflines(params.a, np.where(tiny, 1j, z) if np.count_nonzero(tiny) else z)
     out[:, tiny] = 0.0
@@ -271,12 +289,12 @@ def tn_offcut_array(params: GasParams, z) -> np.ndarray:
 
 
 def tn_pv_array(params: GasParams, x) -> np.ndarray:
-    """Principal-value t0..t4 at real cut points; shape (5,) + x.shape, real."""
-    x = np.asarray(x, dtype=float)
+    """Principal-value t0..t4 at real cut points; shape (5,) + x.shape, real.
+
+    DomainError if a point is not real, not a number or not inside the open cut.
+    """
+    x = _cut_points(params, x)
     ax = np.abs(x)
-    if np.count_nonzero(ax < params.alpha) < ax.size:  # NaN fails the comparison too
-        raise DomainError(
-            f"cut point must be a number inside (-{params.alpha}, {params.alpha})")
     out = np.where(ax > 0.0, _tn_halflines(params.a, ax), 0.0)
     # parity t_n(-x) = (-1)**n t_n(x)
     out[1::2] *= np.where(x < 0, -1.0, 1.0)
@@ -289,7 +307,7 @@ def boundary_jump_array(params: GasParams, x) -> np.ndarray:
     At a = 0 past |x| of about 1e77, rho underflows to 0 and C**n
     overflows; the entries 0 * inf makes NaN there are 0.
     """
-    x = np.asarray(x, dtype=float)
+    x = require_real("cut point", x)
     c = np.asarray(velocity_map(params, x), dtype=float)
     jx = 1j * math.pi * x
     with np.errstate(over="ignore", invalid="ignore"):

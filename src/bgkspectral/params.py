@@ -95,7 +95,7 @@ def make_params(a: float) -> GasParams:
 
 
 def _check_mu(params: GasParams, mu) -> np.ndarray:
-    mu = np.asarray(mu, dtype=float)
+    mu = require_real("mu", mu)
     if np.any(~np.isfinite(mu)) or np.any(np.abs(mu) >= params.alpha):
         raise DomainError(
             f"mu must lie strictly inside (-{params.alpha}, {params.alpha})"
@@ -148,6 +148,19 @@ def require_finite(name: str, value) -> None:
     bad = ~np.isfinite(value)
     if np.count_nonzero(bad):
         raise DomainError(f"{name} is not finite: {np.asarray(value)[bad][0]}")
+
+
+def require_real(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array; DomainError naming ``name`` and the first
+    entry with a nonzero imaginary part, if there is one.  A zero imaginary
+    part is dropped."""
+    value = np.asarray(value)
+    if np.iscomplexobj(value):
+        bad = value.imag != 0.0
+        if np.count_nonzero(bad):
+            raise DomainError(f"{name} is not real: {value[bad][0]}")
+        value = value.real.copy()
+    return np.asarray(value, dtype=float)
 
 
 def on_cut(params: GasParams, z) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 from .dispersion import _cofactors, _det3, _q_tilde, lambda_matrix
 from .moments import tn_pv_array
-from .params import GasParams, mu_of, require_finite, rho_of_c, velocity_map
+from .params import GasParams, mu_of, require_finite, require_real, rho_of_c, velocity_map
 from .quadrature import QuadratureScheme, _sym_sum, integrate_pv, pv_interval
 
 if TYPE_CHECKING:
@@ -88,7 +88,7 @@ class EigenData:
 
 def _eigen_arrays(params: GasParams, eta):
     """PV determinant, PV cofactors, rho and C at cut points ``eta``, vectorized."""
-    eta = np.asarray(eta, dtype=float)
+    eta = require_real("eta", eta)
     m = lambda_matrix(params, tn_pv_array(params, eta))
     c = velocity_map(params, eta)
     return _det3(m), _cofactors(m, c), rho_of_c(params, c), c
@@ -96,7 +96,7 @@ def _eigen_arrays(params: GasParams, eta):
 
 def eigen_data(params: GasParams, eta: float) -> EigenData:
     """Collect rho, C, PV cofactors and PV determinant at ``eta``."""
-    eta = float(eta)
+    eta = float(require_real("eta", eta))
     det, cof, rho, c = _eigen_arrays(params, eta)
     return EigenData(eta=eta, lambda_pv=float(det), cofactors=cof, rho=float(rho),
                      c_eta=float(c))
@@ -115,7 +115,7 @@ def eigenfunction_regular(params: GasParams, eta: float, mu: float):
     DomainError
         At the pole ``eta == mu`` (use the distributional machinery).
     """
-    eta, mu = float(eta), float(mu)
+    eta, mu = float(require_real("eta", eta)), float(require_real("mu", mu))
     if abs(eta - mu) < 1e-12:
         raise DomainError("eta == mu is the singular point of the eigenfunction")
     data = eigen_data(params, eta)
@@ -140,7 +140,7 @@ class SpectralExpansion:
 
     def __post_init__(self):
         self.discrete = np.asarray(self.discrete, dtype=float)
-        self.eta_grid = np.asarray(self.eta_grid, dtype=float)
+        self.eta_grid = require_real("eta_grid", self.eta_grid)
         self.a_values = np.asarray(self.a_values, dtype=float)
         if self.discrete.shape != (4,):
             raise DomainError("expansion needs exactly four discrete coefficients")
@@ -161,7 +161,7 @@ class SpectralExpansion:
 
     def a_of(self, eta):
         """Interpolated continuum coefficient, zero outside the grid hull."""
-        eta = np.asarray(eta, dtype=float)
+        eta = require_real("eta", eta)
         inside = (eta >= self.eta_grid[0]) & (eta <= self.eta_grid[-1])
         out = np.where(inside, self._spline(np.clip(
             eta, self.eta_grid[0], self.eta_grid[-1])), 0.0)
@@ -190,7 +190,7 @@ def apply_expansion(params: GasParams, scheme: QuadratureScheme,
     continuum integral acquires poles the quadrature does not treat.
     """
     expansion.validate(params)
-    x, mu = float(x), float(mu)
+    x, mu = float(x), float(require_real("mu", mu))
     require_finite("x", x)
     if abs(mu) >= params.alpha:
         raise DomainError(f"|mu| must be < {params.alpha}")
@@ -282,7 +282,7 @@ def normalization_check(params: GasParams, scheme: QuadratureScheme,
     deviations; their smallness is the self-consistency of the moment
     system with its own solution formula.
     """
-    eta = float(eta)
+    eta = float(require_real("eta", eta))
     data = eigen_data(params, eta)
     prefactor = eta * data.rho / data.lambda_pv
 

@@ -8,6 +8,7 @@ import scipy.integrate as si
 from scipy.special import dawsn, exp1, expi, gamma, roots_legendre, wofz
 
 from bgkspectral import DomainError, make_params, make_scheme
+from bgkspectral.dispersion import _LAMBDA_SLICE
 from bgkspectral.params import mu_of, require_finite
 from bgkspectral.quadrature import integrate_weighted
 
@@ -161,6 +162,14 @@ def halflines_oracle(a, z):
 def tn_halflines_oracle(a, z):
     """t0..t4 from the two half-line transforms, each computed on its own."""
     return halflines_oracle(a, z)[2]
+
+
+def lambda_slices(n):
+    """The documented partition of an n-point batch of the lambda evaluators:
+    k = ceil(n / _LAMBDA_SLICE) contiguous slices, slice i from i*n//k to
+    (i+1)*n//k, written out here independently of ``dispersion``."""
+    k = max(1, math.ceil(n / _LAMBDA_SLICE))
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
 def asymptotic_moments(params):

@@ -4,13 +4,15 @@ import hashlib
 import io
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bgkspectral import cli
+import bgkspectral
+from bgkspectral import cli, dispersion
 from bgkspectral.cli import main
 
 SQPI = math.sqrt(math.pi)
@@ -466,3 +468,28 @@ def test_spectrum_verify_report_golden(a, tmp_path):
     digest, code = VERIFY_DIGESTS[a]
     assert main(["spectrum-verify", "--a", a, "--out", str(path)]) == code
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_pinned_outputs_fit_in_one_lambda_slice(tmp_path, monkeypatch):
+    # every pinned output evaluates lambda in batches of at most one slice,
+    # so its bytes cannot depend on the slice bound: record the batch sizes
+    # reaching the evaluators, under every name a module binds them to
+    sizes = []
+    for name in ("lambda_fn", "lambda_pv", "lambda_boundary"):
+        real = getattr(dispersion, name)
+
+        def recording(params, scheme, points, *args, _real=real):
+            sizes.append(np.size(points))
+            return _real(params, scheme, points, *args)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith(bgkspectral.__name__)
+                    and getattr(module, name, None) is real):
+                monkeypatch.setattr(module, name, recording)
+    commands = [c.split() for c in README_DIGESTS]
+    commands += [["spectrum-verify", "--a", a] for a in VERIFY_DIGESTS]
+    commands += [["dispersion-eval", *args.split()] for args in KERNEL_DIGESTS]
+    for argv in commands:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert len(sizes) > 50  # 72 calls when this was written
+    assert max(sizes) <= dispersion._LAMBDA_SLICE

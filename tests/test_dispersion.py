@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,16 +30,59 @@ from bgkspectral import dispersion
 from bgkspectral.cli import main
 from bgkspectral.dispersion import (
     _cofactors,
+    _det3,
     _lambda_by_orbit,
     _polyline_points,
     _q_tilde,
     _sample_polyline,
     winding_number,
 )
-from bgkspectral.limits import lambda_a0, lambda_a0_pv
+from bgkspectral.limits import (
+    lambda_a0,
+    lambda_a0_boundary,
+    lambda_a0_pv,
+    lambda_c_boundary,
+    lambda_c_pv,
+)
+from bgkspectral.moments import boundary_jump_array
+from bgkspectral.spectrum import (
+    SpectralExpansion,
+    apply_expansion,
+    eigenfunction_regular,
+    normalization_check,
+)
 from bgkspectral.params import velocity_map
 
+from conftest import lambda_slices
+
 SQPI = math.sqrt(math.pi)
+
+#: the entry points that take points on the cut, each called with one
+CUT_POINT_ENTRIES = {
+    "lambda_pv": lambda p, x: lambda_pv(p, None, x),
+    "lambda_boundary": lambda p, x: lambda_boundary(p, None, x, "minus"),
+    "tn_pv_array": tn_pv_array,
+    "tn_boundary_array": lambda p, x: tn_boundary_array(p, x, "plus"),
+    "boundary_jump_array": boundary_jump_array,
+    "velocity_map": velocity_map,
+    "sokhotsky_jump": lambda p, x: sokhotsky_jump(p, np.ravel(x)[-1]),
+    "eigen_data": lambda p, x: eigen_data(p, np.ravel(x)[-1]).cofactors,
+    "eigenfunction_regular eta": lambda p, x: eigenfunction_regular(p, np.ravel(x)[-1], 0.1),
+    "eigenfunction_regular mu": lambda p, x: eigenfunction_regular(p, 0.1, np.ravel(x)[-1]),
+    "normalization_check": lambda p, x: normalization_check(p, make_scheme(p), np.ravel(x)[-1]),
+    "apply_expansion mu": lambda p, x: apply_expansion(
+        p, None, SpectralExpansion(discrete=np.ones(4), eta_grid=np.linspace(0.1, 0.8, 9),
+                                   a_values=np.zeros(9)), 0.5, np.ravel(x)[-1]),
+    "SpectralExpansion eta_grid": lambda p, x: SpectralExpansion(
+        discrete=np.ones(4), eta_grid=np.concatenate([[0.1, 0.2], np.ravel(x)[-1:], [0.5, 0.8]]),
+        a_values=np.zeros(5)).eta_grid,
+    "SpectralExpansion.a_of": lambda p, x: SpectralExpansion(
+        discrete=np.ones(4), eta_grid=np.linspace(0.1, 0.8, 9), a_values=np.ones(9)).a_of(x),
+    "lambda_c_pv": lambda p, x: lambda_c_pv(x),
+    "lambda_c_boundary": lambda p, x: lambda_c_boundary(x, "plus"),
+    "lambda_a0_pv": lambda p, x: lambda_a0_pv(x),
+    "lambda_a0_boundary": lambda p, x: lambda_a0_boundary(x, "minus"),
+}
 
 
 def _canonical(z):
@@ -156,6 +201,21 @@ class TestLambdaFunction:
                             (-np.conj(z), np.conj(lam))):
             assert np.max(np.abs(lambda_fn(p, s, image) - want) / np.abs(lam)) <= 1e-13
 
+    @pytest.mark.parametrize("name", list(CUT_POINT_ENTRIES))
+    def test_complex_cut_points(self, name):
+        # a nonzero imaginary part is a DomainError naming the point; a zero
+        # one is read as real, without a ComplexWarning
+        p = make_params(1.0)
+        call = CUT_POINT_ENTRIES[name]
+        for bad in (0.3 + 0.1j, np.array([0.2, 0.3 - 1e-300j]), np.full(SLICE + 1, 0.3 + 0.1j)):
+            with pytest.raises(DomainError, match=r"not real: \(0\.3[+-]"):
+                call(p, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for real in (0.3, np.array([0.2, 0.3])):
+                got, want = call(p, np.asarray(real) + 0j), call(p, real)
+                assert repr(got) == repr(want)
+
     def test_real_beyond_cut(self, model):
         p, s = model[1.0]
         for x in (1.2, 2.0, -3.7):
@@ -206,6 +266,140 @@ class TestLambdaFunction:
             with pytest.raises(SystemExit) as exc:
                 main(["dispersion-eval", "--a", "1"] + argv)
             assert exc.value.code == 2
+
+
+SLICE = dispersion._LAMBDA_SLICE
+
+#: each evaluator, with the tn_*_array composition it slices
+EVALUATORS = {
+    "fn": (lambda p, v: lambda_fn(p, None, v), lambda p, v: tn_offcut_array(p, v)),
+    "pv": (lambda p, v: lambda_pv(p, None, v), lambda p, v: tn_pv_array(p, v)),
+    "plus": (lambda p, v: lambda_boundary(p, None, v, "plus"),
+             lambda p, v: tn_boundary_array(p, v, "plus")),
+    "minus": (lambda p, v: lambda_boundary(p, None, v, "minus"),
+              lambda p, v: tn_boundary_array(p, v, "minus")),
+}
+
+
+def _points(p, kind, size, seed=0):
+    """Cut points from speeds uniform in [-12, 12], so |Z+| falls on both
+    sides of 8, or for ``fn`` the same points moved off the cut by
+    log-uniform distances in [1e-8, 10] * min(1, alpha), either side."""
+    rng = np.random.default_rng(seed + size)
+    c = rng.choice([-1, 1], size) * rng.uniform(0.0, 12.0, size)
+    x = c / (1.0 + p.a * np.abs(c))
+    if kind != "fn":
+        return x
+    return x + 1j * rng.choice([-1, 1], size) * 10.0 ** rng.uniform(-8, 1, size) * min(1.0, p.alpha)
+
+
+def _composition(p, kind, points):
+    """The unsliced evaluation: det of the matrix of the whole batch."""
+    return _det3(lambda_matrix(p, EVALUATORS[kind][1](p, points)))
+
+
+def _raised(call):
+    """Type and message of the exception ``call`` raises."""
+    with pytest.raises(Exception) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+class TestSlicedEvaluation:
+    @pytest.mark.parametrize("a", [0.0, 1.0, 100.0])
+    def test_one_slice_is_the_composition(self, a):
+        # a batch of at most SLICE points keeps the bytes of the unsliced code
+        p = make_params(a)
+        for kind, (evaluate, _) in EVALUATORS.items():
+            for size in (1, 7, SLICE - 1, SLICE):
+                x = _points(p, kind, size)
+                assert evaluate(p, x).tobytes() == _composition(p, kind, x).tobytes(), (kind, size)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 100.0])
+    def test_larger_batches_are_the_composition_per_slice(self, a):
+        p = make_params(a)
+        for kind, (evaluate, _) in EVALUATORS.items():
+            for size in (SLICE + 1, 3 * SLICE + 5) + ((100_000,) if kind != "minus" else ()):
+                x = _points(p, kind, size)
+                want = np.concatenate([_composition(p, kind, x[s]) for s in lambda_slices(size)])
+                got = evaluate(p, x)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (kind, size)
+
+    @pytest.mark.parametrize("size", [SLICE, SLICE + 1, 2 * SLICE, 3 * SLICE + 5, 100_000])
+    def test_slices_follow_documented_partition(self, size, monkeypatch):
+        # contiguous, balanced slices: none longer than SLICE, none shorter
+        # than half of it once the batch is sliced
+        seen = []
+        real = dispersion.tn_offcut_array
+        monkeypatch.setattr(dispersion, "tn_offcut_array",
+                            lambda p, z: seen.append(z.copy()) or real(p, z))
+        p = make_params(1.0)
+        z = _points(p, "fn", size)
+        lambda_fn(p, None, z)
+        assert [piece.size for piece in seen] == [s.stop - s.start for s in lambda_slices(size)]
+        assert np.concatenate(seen).tobytes() == z.tobytes()
+        assert max(piece.size for piece in seen) <= SLICE
+        assert size <= SLICE or min(piece.size for piece in seen) >= SLICE // 2
+
+    @pytest.mark.parametrize("kind", list(EVALUATORS))
+    def test_scalar_empty_and_2d_shapes(self, kind):
+        p = make_params(1.0)
+        evaluate = EVALUATORS[kind][0]
+        scalar = _points(p, kind, 1)[0]
+        assert type(evaluate(p, scalar)) is (float if kind == "pv" else complex)
+        dtype = float if kind == "pv" else complex
+        for empty in (np.array([]), np.zeros((0, 3)), []):
+            got = evaluate(p, empty)
+            assert got.dtype == dtype and got.shape == np.shape(empty)
+        for shape in ((2, 3), (3, SLICE), (SLICE + 3, 2)):
+            x = _points(p, kind, math.prod(shape)).reshape(shape)
+            got = evaluate(p, x)
+            assert got.shape == shape and got.dtype == dtype
+            assert got.tobytes() == evaluate(p, x.reshape(-1)).tobytes()
+            assert evaluate(p, x.T).tobytes() == evaluate(p, x.T.copy()).tobytes()
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 100.0])
+    def test_errors_are_those_of_the_whole_batch(self, a):
+        # the checks see the whole batch before it is sliced, so a bad point
+        # in any slice raises the type and message of the unsliced check
+        p = make_params(a)
+        size = 3 * SLICE + 5
+        nan, on_cut = float("nan"), 0.5 * min(1.0, p.alpha)
+        for kind, (evaluate, tn) in EVALUATORS.items():
+            x = _points(p, kind, size)
+            bad = {"nan": [(2 * SLICE + 7, nan)], "late nan": [(size - 1, nan)]}
+            if kind == "fn":
+                bad["on cut"] = [(SLICE + 2, on_cut)]
+                bad["on cut, then nan"] = [(10, on_cut), (2 * SLICE + 7, nan)]
+            else:
+                bad["outside"] = [(SLICE + 2, 1.5 * p.alpha if p.a else nan)]
+            for case, entries in bad.items():
+                y = x.copy()
+                for i, v in entries:
+                    y[i] = v
+                want = _raised(lambda: tn(p, y))
+                assert _raised(lambda: evaluate(p, y)) == want, (kind, case)
+                if case == "on cut, then nan":
+                    assert want[0] is DomainError and "finite" in want[1]
+        x = _points(p, "pv", size)
+        x[5] = nan
+        for side in ("up", 0, None):
+            want = _raised(lambda: tn_boundary_array(p, x, side))
+            assert _raised(lambda: lambda_boundary(p, None, x, side)) == want
+            assert "side" in want[1]
+
+    def test_temporaries_scale_with_the_slice(self):
+        # the unsliced code held about 75 MiB of temporaries at 2e5 points
+        p = make_params(1.0)
+        z = _points(p, "fn", 200_000)
+        lambda_fn(p, None, z[:10])
+        tracemalloc.start()
+        try:
+            out = lambda_fn(p, None, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 16 * 2**20
 
 
 class TestCofactors:

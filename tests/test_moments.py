@@ -36,6 +36,7 @@ from conftest import (
     cauchy_halfline_poly_oracle,
     cauchy_halfline_series_oracle,
     halflines_oracle,
+    lambda_slices,
     phi_halfline_oracle,
     quadrature_moments,
     tn_halflines_oracle,
@@ -530,8 +531,12 @@ def test_float64_determinant_matches_complex_assembly(a):
     for size in (1, 1000, 20000):
         x = _oracle_batch(rng, a, size, "real")
         x[: min(size, 2)] = (0.0, -0.0)[: min(size, 2)]
+        # lambda_pv evaluates a batch larger than its slice bound slice by slice
+        want = np.concatenate([
+            _det3(lambda_matrix(p, tn_pv_array(p, x[s]).astype(complex))).real
+            for s in lambda_slices(size)])
+        assert lambda_pv(p, None, x).tobytes() == want.tobytes()
         m = lambda_matrix(p, tn_pv_array(p, x).astype(complex))
-        assert lambda_pv(p, None, x).tobytes() == _det3(m).real.tobytes()
         c = velocity_map(p, x)
         want = _cofactors(m, c).real
         assert _cofactors(lambda_matrix(p, tn_pv_array(p, x)), c).tobytes() == want.tobytes()
