@@ -28,13 +28,18 @@ peaks at about 5 MiB of traced memory, 1.5 MiB of it the output, and a
 373 MiB.  A batch of at most 8192 points is evaluated whole.  In a larger
 one a point's last bits depend on the slice partition, as they depended on
 the batch before (numpy's temporary elision, the kernel's BLAS products).
+The caller shares those slices with one helper thread (``_helper_pool``),
+with the bytes of the caller alone.
 
 Evaluation is pure; callers may fan out over many points in parallel.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +54,37 @@ from .quadrature import QuadratureScheme
 #: points per slice of a bulk lambda evaluation (:func:`_det_by_slices`),
 #: below the 16384 elements from which numpy elides temporaries
 _LAMBDA_SLICE = 8192
+
+#: executor of the one thread that helps callers through their slices, made
+#: by :func:`_helper_pool` on the first sliced batch
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _forget_helper() -> None:
+    """In a forked child the helper's thread does not exist, and another thread
+    may have held the lock at the fork: start both afresh there."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _helper_pool():
+    """The single-thread executor that shares sliced batches with their callers,
+    made on first use; None while the process may run on one CPU only."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            if cpus > 1:
+                from concurrent.futures import ThreadPoolExecutor
+
+                _helper = ThreadPoolExecutor(1, thread_name_prefix="bgkspectral-slices")
+        return _helper
 
 
 def lambda_matrix(params: GasParams, t: np.ndarray) -> np.ndarray:
@@ -112,15 +148,43 @@ def _det_by_slices(params: GasParams, dtype, check, tn_array, points, *args):
     would, then flattened and cut into k = ceil(N/_LAMBDA_SLICE) contiguous
     slices, slice i holding points i*N//k up to (i+1)*N//k; their
     determinants fill one output of the batch's shape and ``dtype``.
+
+    The caller and the helper thread of :func:`_helper_pool` take slices
+    from one shared iterator, the helper in a copy of the caller's context
+    (numpy's ``errstate``).  Each slice is computed as it would be alone, so
+    the bytes do not depend on which thread ran it.  After its own share the
+    caller cancels the helper's task, and waits for it only if it started:
+    a helper busy with another caller, or missing in a forked child, never
+    holds the call up.  An exception in either thread leaves the other no
+    further slice and reaches the caller.
     """
     points = np.asarray(points)
     k = -(-points.size // _LAMBDA_SLICE)
     if k <= 1:
         return _det3(lambda_matrix(params, tn_array(params, points, *args)))
     flat, out = check(params, points).reshape(-1), np.empty(points.size, dtype)
-    for i in range(k):
-        lo, hi = i * flat.size // k, (i + 1) * flat.size // k
-        out[lo:hi] = _det3(lambda_matrix(params, tn_array(params, flat[lo:hi], *args)))
+    slices = iter(range(k))  # a range iterator hands out each index once, under the GIL
+
+    def drain():
+        try:
+            for i in slices:
+                lo, hi = i * flat.size // k, (i + 1) * flat.size // k
+                out[lo:hi] = _det3(lambda_matrix(params, tn_array(params, flat[lo:hi], *args)))
+        except BaseException:
+            for _ in slices:
+                pass
+            raise
+
+    pool = _helper_pool()
+    if pool is None:
+        drain()
+    else:
+        helper = pool.submit(contextvars.copy_context().run, drain)
+        try:
+            drain()
+        finally:
+            if not helper.cancel():
+                helper.result()
     return out.reshape(points.shape)
 
 

@@ -121,9 +121,9 @@ def velocity_map(params: GasParams, mu):
 def mu_of(params: GasParams, c):
     """Inverse of :func:`velocity_map`: mu = C/(1 + a|C|), defined on all of R.
 
-    A ``c`` that is not finite raises DomainError.
+    A ``c`` that is complex or not finite raises DomainError.
     """
-    c = np.asarray(c, dtype=float)
+    c = require_real("c", c)
     require_finite("c", c)
     mu = c / (1.0 + params.a * np.abs(c))
     return mu if mu.ndim else float(mu)
@@ -177,9 +177,9 @@ def rho_of_c(params: GasParams, c):
 
 
 def kernel_q_c(params: GasParams, c, c_prime):
-    """Collision kernel expressed in speed variables (any finite speeds)."""
-    c = np.asarray(c, dtype=float)
-    cp = np.asarray(c_prime, dtype=float)
+    """Collision kernel expressed in speed variables (any finite real speeds)."""
+    c = require_real("c", c)
+    cp = require_real("c_prime", c_prime)
     require_finite("c", c)
     require_finite("c_prime", cp)
     q = (

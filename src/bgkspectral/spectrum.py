@@ -40,9 +40,10 @@ def discrete_solution(params: GasParams, k: int, x, mu):
     The constants 1/2 and 3/2 are independent of the frequency slope: the
     cross moments that would couple them to ``beta`` vanish identically in
     the speed variable, which the residual checker confirms numerically.
-    An ``x`` that is not finite raises DomainError, as ``mu`` outside the
-    cut does.
+    An ``x`` that is complex or not finite raises DomainError, as ``mu``
+    outside the cut does.
     """
+    x = require_real("x", x)
     require_finite("x", x)
     c = velocity_map(params, mu)
     if k == 0:
@@ -52,14 +53,14 @@ def discrete_solution(params: GasParams, k: int, x, mu):
     if k == 2:
         return c * c - 0.5
     if k == 3:
-        return (np.asarray(x, dtype=float) - np.asarray(mu, dtype=float)) * (
-            c * c - 1.5
-        )
+        return (x - np.asarray(mu, dtype=float)) * (c * c - 1.5)
     raise DomainError(f"discrete index must be 0..3, got {k}")
 
 
 def discrete_solution_dx(params: GasParams, k: int, x, mu):
-    """Analytic x-derivative of the k-th discrete solution."""
+    """Analytic x-derivative of the k-th discrete solution; a complex ``x``
+    raises DomainError."""
+    require_real("x", x)
     if k in (0, 1, 2):
         return np.zeros_like(np.asarray(mu, dtype=float))
     if k == 3:
@@ -178,7 +179,7 @@ def apply_expansion(params: GasParams, scheme: QuadratureScheme,
         + exp(-x/mu) A(mu)
 
     With ``derivative=True`` the analytic x-derivative is returned
-    instead.  ``x`` must be finite (else DomainError).  Decaying
+    instead.  ``x`` must be real and finite (else DomainError).  Decaying
     exponentials require the continuum support and ``x`` to be nonnegative;
     nothing enforces that, but growing modes are the caller's
     responsibility.  ``scheme`` is not read: the continuum integral runs on
@@ -190,7 +191,7 @@ def apply_expansion(params: GasParams, scheme: QuadratureScheme,
     continuum integral acquires poles the quadrature does not treat.
     """
     expansion.validate(params)
-    x, mu = float(x), float(require_real("mu", mu))
+    x, mu = float(require_real("x", x)), float(require_real("mu", mu))
     require_finite("x", x)
     if abs(mu) >= params.alpha:
         raise DomainError(f"|mu| must be < {params.alpha}")
@@ -236,8 +237,10 @@ def residual_2_4(params: GasParams, scheme: QuadratureScheme, h, x: float,
     taken by central differences with step 1e-5 unless an analytic
     ``dh_dx(x, mu)`` is supplied.  The test grid is the image of 64
     uniformly spaced speeds in [-3.5, 3.5], which keeps it strictly
-    inside the cut for every slope.  A non-finite ``x`` raises DomainError.
+    inside the cut for every slope.  A complex or non-finite ``x`` raises
+    DomainError.
     """
+    x = float(require_real("x", x))
     require_finite("x", x)
     mu_grid = mu_of(params, np.linspace(-3.5, 3.5, 64))
     c_grid = np.asarray(velocity_map(params, mu_grid), dtype=float)

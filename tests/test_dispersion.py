@@ -1,4 +1,9 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -328,14 +333,22 @@ class TestSlicedEvaluation:
     @pytest.mark.parametrize("size", [SLICE, SLICE + 1, 2 * SLICE, 3 * SLICE + 5, 100_000])
     def test_slices_follow_documented_partition(self, size, monkeypatch):
         # contiguous, balanced slices: none longer than SLICE, none shorter
-        # than half of it once the batch is sliced
-        seen = []
-        real = dispersion.tn_offcut_array
-        monkeypatch.setattr(dispersion, "tn_offcut_array",
-                            lambda p, z: seen.append(z.copy()) or real(p, z))
+        # than half of it once the batch is sliced; two threads compute them,
+        # so they are recorded by offset (the points are distinct), not in
+        # the order they finish
         p = make_params(1.0)
         z = _points(p, "fn", size)
+        by_offset = {}
+        real = dispersion.tn_offcut_array
+
+        def spy(p, piece):
+            by_offset[int(np.flatnonzero(z == piece[0])[0])] = piece.copy()
+            return real(p, piece)
+
+        monkeypatch.setattr(dispersion, "tn_offcut_array", spy)
         lambda_fn(p, None, z)
+        assert sorted(by_offset) == [s.start for s in lambda_slices(size)]
+        seen = [by_offset[offset] for offset in sorted(by_offset)]
         assert [piece.size for piece in seen] == [s.stop - s.start for s in lambda_slices(size)]
         assert np.concatenate(seen).tobytes() == z.tobytes()
         assert max(piece.size for piece in seen) <= SLICE
@@ -387,6 +400,161 @@ class TestSlicedEvaluation:
             want = _raised(lambda: tn_boundary_array(p, x, side))
             assert _raised(lambda: lambda_boundary(p, None, x, side)) == want
             assert "side" in want[1]
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 100.0])
+    def test_helper_thread_keeps_the_bytes(self, a, monkeypatch):
+        # slices shared with the helper thread give the bytes the caller
+        # gives alone
+        p = make_params(a)
+        cases = [(kind, size) for kind in EVALUATORS for size in (SLICE + 1, 3 * SLICE + 5)]
+        cases += [(kind, 100_000) for kind in ("fn", "pv", "plus")]
+        shared = {case: EVALUATORS[case[0]][0](p, _points(p, *case)) for case in cases}
+        monkeypatch.setattr(dispersion, "_helper_pool", lambda: None)
+        for case in cases:
+            alone = EVALUATORS[case[0]][0](p, _points(p, *case))
+            assert shared[case].tobytes() == alone.tobytes(), case
+
+    def test_concurrent_callers_get_the_bytes_of_one_call(self):
+        # four callers, one per evaluator, share the one helper at once
+        p = make_params(1.0)
+        inputs = {kind: _points(p, kind, 3 * SLICE + 5) for kind in EVALUATORS}
+        want = {kind: EVALUATORS[kind][0](p, x).tobytes() for kind, x in inputs.items()}
+        got = {kind: [] for kind in EVALUATORS}
+        start = threading.Barrier(len(EVALUATORS))
+
+        def call(kind):
+            start.wait(timeout=60)
+            for _ in range(3):
+                got[kind].append(EVALUATORS[kind][0](p, inputs[kind]).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=call, args=(kind,)) for kind in EVALUATORS]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {kind: [w] * 3 for kind, w in want.items()}
+
+    def test_slices_run_in_the_callers_errstate(self, monkeypatch):
+        p = make_params(1.0)
+        z = _points(p, "fn", 100_000)
+        seen = []
+        real = dispersion.tn_offcut_array
+        monkeypatch.setattr(dispersion, "tn_offcut_array",
+                            lambda p, piece: seen.append(np.geterr()["over"]) or real(p, piece))
+        with np.errstate(over="ignore"):
+            lambda_fn(p, None, z)
+        assert seen == ["ignore"] * len(lambda_slices(z.size))
+
+    def test_error_in_a_helper_slice_reaches_the_caller(self, monkeypatch):
+        if dispersion._helper_pool() is None:
+            pytest.skip("one CPU: no helper thread")
+
+        class SliceError(Exception):
+            pass
+
+        p = make_params(1.0)
+        z = _points(p, "fn", 3 * SLICE + 5)
+        want = lambda_fn(p, None, z).tobytes()
+        caller, raised = threading.get_ident(), threading.Event()
+        real = dispersion.tn_offcut_array
+
+        def failing(p, piece):
+            # the caller's first slice waits until the helper has raised in its own
+            if threading.get_ident() != caller:
+                raised.set()
+                raise SliceError("helper slice")
+            assert raised.wait(timeout=60)
+            return real(p, piece)
+
+        monkeypatch.setattr(dispersion, "tn_offcut_array", failing)
+        with pytest.raises(SliceError, match="helper slice"):
+            lambda_fn(p, None, z)
+        monkeypatch.undo()
+        assert lambda_fn(p, None, z).tobytes() == want
+
+    def test_a_busy_helper_does_not_hold_up_a_caller(self):
+        # a caller whose task waits behind another one's computes every slice
+        # itself and cancels the task: no waiting on a thread that is not free
+        pool = dispersion._helper_pool()
+        if pool is None:
+            pytest.skip("one CPU: no helper thread")
+        p = make_params(1.0)
+        z = _points(p, "fn", 3 * SLICE + 5)
+        want = lambda_fn(p, None, z).tobytes()
+        release, got = threading.Event(), []
+        blocker = pool.submit(release.wait, 600)  # outlasts the join below
+        try:
+            caller = threading.Thread(target=lambda: got.append(lambda_fn(p, None, z).tobytes()))
+            caller.start()
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+        finally:
+            release.set()
+            blocker.result(timeout=60)
+        assert got == [want]
+
+    def test_forked_child_returns(self):
+        # the child has the parent's executor but not its thread; it makes its
+        # own helper, and the parent's would not hold it up either
+        p = make_params(1.0)
+        z = _points(p, "fn", 20_000)
+        want = lambda_fn(p, None, z).tobytes()  # the parent's helper exists now
+        parent_pool = dispersion._helper
+
+        def child():
+            ok = lambda_fn(p, None, z).tobytes() == want
+            dispersion._helper = parent_pool
+            ok = ok and lambda_fn(p, None, z).tobytes() == want
+            sys.exit(0 if ok else 1)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+            proc = multiprocessing.get_context("fork").Process(target=child)
+            proc.start()
+        proc.join(timeout=120)
+        if proc.is_alive():
+            proc.kill()
+            proc.join(timeout=10)
+            pytest.fail("forked child hung")
+        assert proc.exitcode == 0
+
+    def test_helper_is_made_lazily_and_not_on_one_cpu(self):
+        # in a fresh interpreter: the import starts no thread and leaves the
+        # executor module out; on one CPU a sliced batch makes no helper, on
+        # more it makes exactly one
+        code = """if True:
+            import os, sys, threading
+            import numpy as np
+            import bgkspectral
+            from bgkspectral import dispersion, lambda_fn, make_params
+            assert "concurrent.futures.thread" not in sys.modules
+            assert threading.active_count() == 1
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            p, z = make_params(1.0), np.linspace(0.1, 3.0, 3 * 8192 + 5) + 0.5j
+            real = os.sched_getaffinity if hasattr(os, "sched_getaffinity") else None
+            os.sched_getaffinity = lambda pid: {0}
+            want = lambda_fn(p, None, z).tobytes()
+            assert dispersion._helper is None and threading.active_count() == 1
+            assert "concurrent.futures.thread" not in sys.modules
+            if real is None:
+                del os.sched_getaffinity
+            else:
+                os.sched_getaffinity = real
+            for _ in range(2):
+                assert lambda_fn(p, None, z).tobytes() == want
+            assert threading.active_count() == (2 if cpus > 1 else 1)
+        """
+        src = os.path.dirname(dispersion.__file__)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.path.dirname(src)},
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_temporaries_scale_with_the_slice(self):
         # the unsliced code held about 75 MiB of temporaries at 2e5 points

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from bgkspectral import (
     DomainError,
     FreeMolecularSolution,
+    SpectralExpansion,
+    apply_expansion,
     count_zeros,
     discrete_solution,
+    discrete_solution_dx,
     fm_general_solution,
     fm_kernel,
     fm_residual,
@@ -244,3 +247,30 @@ def test_non_finite_input_rejected(entry, bad):
     name, call = NON_FINITE_CALLS[entry]
     with pytest.raises(DomainError, match=f"^{name} is not finite"):
         call(bad)
+
+
+EXPANSION1 = SpectralExpansion(discrete=np.ones(4), eta_grid=np.linspace(0.1, 0.8, 9),
+                               a_values=np.zeros(9))
+COMPLEX_CALLS = {
+    "residual_2_4": ("x", lambda v: residual_2_4(P1, S1, lambda x, mu: np.ones_like(mu), v)),
+    "discrete_solution": ("x", lambda v: discrete_solution(P1, 3, v, 0.1)),
+    "discrete_solution_k0": ("x", lambda v: discrete_solution(P1, 0, v, 0.1)),
+    "discrete_solution_dx": ("x", lambda v: discrete_solution_dx(P1, 3, v, 0.1)),
+    "apply_expansion": ("x", lambda v: apply_expansion(P1, S1, EXPANSION1, v, 0.3)),
+    "mu_of": ("c", lambda v: mu_of(P1, v)),
+    "mu_of_array": ("c", lambda v: mu_of(P1, np.array([0.2, v]))),
+    "kernel_q_c": ("c", lambda v: kernel_q_c(P1, v, 0.5)),
+    "kernel_q_c_prime": ("c_prime", lambda v: kernel_q_c(P1, 0.5, v)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COMPLEX_CALLS))
+def test_complex_input_rejected(entry):
+    # a nonzero imaginary part raises; a zero one is dropped, with the bytes
+    # and the type of the real input
+    name, call = COMPLEX_CALLS[entry]
+    with pytest.raises(DomainError, match=f"^{name} is not real"):
+        call(0.5 + 0.1j)
+    real, dropped = call(0.5), call(0.5 + 0j)
+    assert type(dropped) is type(real)
+    assert np.asarray(dropped).tobytes() == np.asarray(real).tobytes()
