@@ -196,17 +196,17 @@ def _checks_for(params, scheme):
 
     with guard("zero_count"):  # argument-principle zero counts
         if a == 0.0:
-            w = count_zeros(params, scheme, semicircle_contour())
+            w = count_zeros(params, semicircle_contour())
             add("zero_count_semicircle", w, 0.5, ok=(w == 0))
         else:
             for i, (hw, hh) in enumerate(((3.0, 2.0), (5.0, 3.0), (8.0, 5.0)), 1):
                 hw_eff = max(hw, params.alpha + 0.5)
                 cont = keyhole_contour(params, hw_eff, hh)
-                w = count_zeros(params, scheme, cont)
+                w = count_zeros(params, cont)
                 add(f"zero_count_keyhole_{i}", w, 0.5, ok=(w == 0))
 
     with guard("laurent_order"):  # at infinity
-        order, coeff = laurent_order_at_infinity(params, scheme)
+        order, coeff = laurent_order_at_infinity(params)
         add("laurent_order", order - 4, 0.5, ok=(order == 4),
             coefficient=[coeff.real, coeff.imag])
         if a == 0.0:

@@ -16,9 +16,8 @@ element tables for this family contain internal misprints (an r2 where
 the rule yields r0 in the top-left entry, a t3 where it yields t2 in the
 middle one), and printed cofactor expansions are similarly unreliable.
 All determinants here are computed directly from the assembled matrix.
-Nothing here integrates (the moments are closed-form): the ``scheme`` of
-the lambda evaluators, ``count_zeros`` and ``laurent_order_at_infinity``
-stays positional for their callers and is not read.
+Nothing here integrates (the moments are closed-form): the lambda
+evaluators keep a ``scheme`` for their positional callers and do not read it.
 
 ``lambda_fn``, ``lambda_pv`` and ``lambda_boundary`` evaluate a batch in
 contiguous slices of at most 8192 points (``_det_by_slices``), so their
@@ -28,7 +27,8 @@ peaks at about 5 MiB of traced memory, 1.5 MiB of it the output, and a
 373 MiB.  A batch of at most 8192 points is evaluated whole.  In a larger
 one a point's last bits depend on the slice partition, as they depended on
 the batch before (numpy's temporary elision, the kernel's BLAS products).
-The caller shares those slices with one helper thread (``_helper_pool``),
+The caller shares those slices with one helper thread that it starts for
+the call and joins before returning (none in a process bound to one CPU),
 with the bytes of the caller alone.
 
 Evaluation is pure; callers may fan out over many points in parallel.
@@ -54,37 +54,6 @@ from .quadrature import QuadratureScheme
 #: points per slice of a bulk lambda evaluation (:func:`_det_by_slices`),
 #: below the 16384 elements from which numpy elides temporaries
 _LAMBDA_SLICE = 8192
-
-#: executor of the one thread that helps callers through their slices, made
-#: by :func:`_helper_pool` on the first sliced batch
-_helper = None
-_helper_lock = threading.Lock()
-
-
-def _forget_helper() -> None:
-    """In a forked child the helper's thread does not exist, and another thread
-    may have held the lock at the fork: start both afresh there."""
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _helper_pool():
-    """The single-thread executor that shares sliced batches with their callers,
-    made on first use; None while the process may run on one CPU only."""
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            if cpus > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                _helper = ThreadPoolExecutor(1, thread_name_prefix="bgkspectral-slices")
-        return _helper
 
 
 def lambda_matrix(params: GasParams, t: np.ndarray) -> np.ndarray:
@@ -149,14 +118,12 @@ def _det_by_slices(params: GasParams, dtype, check, tn_array, points, *args):
     slices, slice i holding points i*N//k up to (i+1)*N//k; their
     determinants fill one output of the batch's shape and ``dtype``.
 
-    The caller and the helper thread of :func:`_helper_pool` take slices
-    from one shared iterator, the helper in a copy of the caller's context
+    The caller starts one helper thread for the call, unless the process
+    may run on one CPU only, and joins it before returning.  Both take
+    slices from one iterator, the helper in a copy of the caller's context
     (numpy's ``errstate``).  Each slice is computed as it would be alone, so
-    the bytes do not depend on which thread ran it.  After its own share the
-    caller cancels the helper's task, and waits for it only if it started:
-    a helper busy with another caller, or missing in a forked child, never
-    holds the call up.  An exception in either thread leaves the other no
-    further slice and reaches the caller.
+    the bytes do not depend on which thread ran it.  An exception in either
+    thread leaves the other no further slice and reaches the caller.
     """
     points = np.asarray(points)
     k = -(-points.size // _LAMBDA_SLICE)
@@ -164,27 +131,29 @@ def _det_by_slices(params: GasParams, dtype, check, tn_array, points, *args):
         return _det3(lambda_matrix(params, tn_array(params, points, *args)))
     flat, out = check(params, points).reshape(-1), np.empty(points.size, dtype)
     slices = iter(range(k))  # a range iterator hands out each index once, under the GIL
+    errors = []
 
     def drain():
         try:
             for i in slices:
                 lo, hi = i * flat.size // k, (i + 1) * flat.size // k
                 out[lo:hi] = _det3(lambda_matrix(params, tn_array(params, flat[lo:hi], *args)))
-        except BaseException:
+        except BaseException as exc:  # raised again in the caller, after the join
+            errors.append(exc)
             for _ in slices:
                 pass
-            raise
 
-    pool = _helper_pool()
-    if pool is None:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus > 1:
+        helper = threading.Thread(target=contextvars.copy_context().run, args=(drain,))
+        helper.start()
         drain()
+        helper.join()
     else:
-        helper = pool.submit(contextvars.copy_context().run, drain)
-        try:
-            drain()
-        finally:
-            if not helper.cancel():
-                helper.result()
+        drain()
+    if errors:
+        raise errors[0]
     return out.reshape(points.shape)
 
 
@@ -268,12 +237,6 @@ def sokhotsky_jump(params: GasParams, x: float) -> SokhotskyJump:
 # argument-principle zero counting
 # ---------------------------------------------------------------------------
 
-def _sample_polyline(vertices: np.ndarray, total: int, level: int = 0) -> np.ndarray:
-    """All samples of ``level`` (:func:`_polyline_points`), closing vertex appended."""
-    pts = _polyline_points(vertices, total, level, 0)
-    return np.append(pts, pts[0])
-
-
 def _polyline_points(vertices, total: int, level: int, odd: int) -> np.ndarray:
     """Sample a closed polyline densely: every point j, or the odd ones.
 
@@ -306,7 +269,7 @@ def winding_number(values: np.ndarray) -> tuple[float, float]:
     return (phase[-1] - phase[0]) / (2.0 * math.pi), np.max(np.abs(np.diff(phase)))
 
 
-def _lambda_by_orbit(params: GasParams, scheme: QuadratureScheme, z):
+def _lambda_by_orbit(params: GasParams, z):
     """lambda at ``z`` from the distinct ``|Re z| + i|Im z|``, by lambda(-z) = lambda(z)
     (even collision frequency) and lambda(conj z) = conj lambda(z) (real weights)."""
     order = np.lexsort((np.abs(z.imag), np.abs(z.real)))  # np.unique's order, no complex sort
@@ -315,11 +278,11 @@ def _lambda_by_orbit(params: GasParams, scheme: QuadratureScheme, z):
     first[1:] = rep[1:] != rep[:-1]
     back = np.empty_like(order)
     back[order] = np.cumsum(first) - 1
-    vals = lambda_fn(params, scheme, rep[first])[back]
+    vals = lambda_fn(params, None, rep[first])[back]
     return np.where(z.real * z.imag < 0, vals.conj(), vals)
 
 
-def count_zeros(params: GasParams, scheme: QuadratureScheme, contour) -> int:
+def count_zeros(params: GasParams, contour) -> int:
     """Number of zeros of lambda enclosed by a closed polyline contour.
 
     The contour must avoid the cut; lambda is sampled densely along it and
@@ -327,7 +290,7 @@ def count_zeros(params: GasParams, scheme: QuadratureScheme, contour) -> int:
     argument unwrapping, from about 4096 samples up, doubling the sampling
     (at most five levels) until the integer is stable and every step turns
     by less than half a radian.  The refinement is nested (see
-    :func:`_sample_polyline`): each level keeps the values of the one
+    :func:`_polyline_points`): each level keeps the values of the one
     before and adds the new midpoints, with lambda evaluated once per
     orbit of z -> conj z, -z (:func:`_lambda_by_orbit`).  The samples of
     :func:`keyhole_contour` and :func:`semicircle_contour` are closed under
@@ -348,12 +311,12 @@ def count_zeros(params: GasParams, scheme: QuadratureScheme, contour) -> int:
 
     prev = None
     # lambda at the current level's samples; the closing point repeats the first
-    vals = _lambda_by_orbit(params, scheme, _polyline_points(v, 4096, 0, 0))
+    vals = _lambda_by_orbit(params, _polyline_points(v, 4096, 0, 0))
     for level in range(5):
         if level:  # keep the values of the level before, add its midpoints
             kept, vals = vals, np.empty(2 * vals.size, dtype=complex)
             vals[0::2] = kept
-            vals[1::2] = _lambda_by_orbit(params, scheme, _polyline_points(v, 4096, level, 1))
+            vals[1::2] = _lambda_by_orbit(params, _polyline_points(v, 4096, level, 1))
         if np.min(np.abs(vals)) < 1e-8:
             raise IllConditionedContourError("lambda smaller than 1e-8 on the contour")
         w, step = winding_number(np.append(vals, vals[0]))
@@ -364,8 +327,7 @@ def count_zeros(params: GasParams, scheme: QuadratureScheme, contour) -> int:
     raise IllConditionedContourError("winding number did not stabilize")
 
 
-def keyhole_contour(params: GasParams, half_width: float = 3.0,
-                    half_height: float = 2.0) -> np.ndarray:
+def keyhole_contour(params: GasParams, half_width: float, half_height: float) -> np.ndarray:
     """Boundary of the rectangle minus a 1e-2 neighbourhood of the cut.
 
     A single closed polyline: the outer rectangle traversed counterclockwise,
@@ -401,7 +363,7 @@ def semicircle_contour() -> np.ndarray:
     return np.concatenate([right, -np.conj(right[::-1])])
 
 
-def laurent_order_at_infinity(params: GasParams, scheme: QuadratureScheme):
+def laurent_order_at_infinity(params: GasParams):
     """Order and leading coefficient of the zero of lambda at infinity.
 
     Fits ``lambda ~ c / z**k`` by log-log regression of the angular mean
@@ -429,7 +391,7 @@ def laurent_order_at_infinity(params: GasParams, scheme: QuadratureScheme):
     log_r, log_mag = [], []
     for r in radii:
         z = r * ring
-        vals = lambda_fn(params, scheme, z)
+        vals = lambda_fn(params, None, z)
         log_r.append(math.log(r))
         log_mag.append(np.mean(np.log(np.abs(vals))))
     slope, _ = np.polyfit(log_r, log_mag, 1)

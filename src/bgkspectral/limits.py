@@ -310,7 +310,7 @@ def _fm_quad():
     """
     from .quadrature import gauss_panels
 
-    nodes, wts = gauss_panels(0.0, 8.6, n_panels=10, n_per=20)
+    nodes, wts = gauss_panels(0.0, 8.6, (), 10, 20)
     return nodes, wts * np.exp(-nodes * nodes) * nodes
 
 

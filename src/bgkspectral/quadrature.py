@@ -162,8 +162,7 @@ def integrate_pv(scheme: QuadratureScheme, f, pole: float):
     return smooth + h0[..., 0] * (-2.0 * np.sqrt(np.pi)) * dawsn(cx)
 
 
-def gauss_panels(lo: float, hi: float, breakpoints=(), n_panels: int = 12,
-                 n_per: int = 16):
+def gauss_panels(lo: float, hi: float, breakpoints, n_panels: int, n_per: int):
     """Gauss-Legendre nodes/weights on [lo, hi] split at the breakpoints."""
     pts = [lo, hi] + [b for b in breakpoints if lo < b < hi]
     pts = np.unique(np.asarray(pts, dtype=float))
@@ -182,18 +181,23 @@ def pv_interval(f, lo: float, hi: float, pole: float):
     ``(f(eta) - f(pole)) / (eta - pole)`` is integrated on 16 panels of 16
     Gauss-Legendre nodes each, split at the pole, and the
     subtracted constant contributes ``f(pole) * log((hi-pole)/(pole-lo))``
-    exactly.  If the pole lies outside ``[lo, hi]`` the integral is
-    ordinary and is computed directly.  ``f`` must accept ndarrays.  A
-    ``lo``, ``hi`` or ``pole`` that is not finite raises DomainError.
+    exactly.  If the pole lies outside ``(lo, hi)`` the integral is
+    ordinary and is computed directly; at ``lo`` or ``hi`` it converges
+    only where ``f(pole) == 0``.  ``f`` must accept ndarrays.  A ``lo``,
+    ``hi`` or ``pole`` that is not finite, or a pole at an end where ``f``
+    is not 0, raises DomainError.
     """
     for name, value in (("lo", lo), ("hi", hi), ("pole", pole)):
         require_finite(name, value)
     if hi <= lo:
         raise DomainError("empty integration interval")
-    nodes, wts = gauss_panels(lo, hi, (pole,), 16)  # a pole outside is no breakpoint
+    nodes, wts = gauss_panels(lo, hi, (pole,), 16, 16)  # a pole outside is no breakpoint
+    fp = np.asarray(f(np.array([pole]))).ravel()[0] if lo <= pole <= hi else 0.0
     if not (lo < pole < hi):
+        if fp != 0.0:
+            raise DomainError(f"pole {pole} at an end of [{lo}, {hi}] with f(pole) = {fp}: "
+                              "the integral diverges")
         return np.sum(wts * np.asarray(f(nodes)) / (nodes - pole))
 
-    fp = np.asarray(f(np.array([pole]))).ravel()[0]
     vals = (np.asarray(f(nodes)) - fp) / (nodes - pole)
     return np.sum(wts * vals) + fp * np.log((hi - pole) / (pole - lo))

@@ -8,7 +8,7 @@ import scipy.integrate as si
 from scipy.special import dawsn, exp1, expi, gamma, roots_legendre, wofz
 
 from bgkspectral import DomainError, make_params, make_scheme
-from bgkspectral.dispersion import _LAMBDA_SLICE
+from bgkspectral import dispersion
 from bgkspectral.params import mu_of, require_finite
 from bgkspectral.quadrature import integrate_weighted
 
@@ -167,8 +167,9 @@ def tn_halflines_oracle(a, z):
 def lambda_slices(n):
     """The documented partition of an n-point batch of the lambda evaluators:
     k = ceil(n / _LAMBDA_SLICE) contiguous slices, slice i from i*n//k to
-    (i+1)*n//k, written out here independently of ``dispersion``."""
-    k = max(1, math.ceil(n / _LAMBDA_SLICE))
+    (i+1)*n//k, written out here independently of ``dispersion``.  The
+    bound is read at each call, so a test may patch it."""
+    k = max(1, math.ceil(n / dispersion._LAMBDA_SLICE))
     return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 

@@ -97,8 +97,8 @@ def test_criterion_03_a0_closed_form(model):
 def test_criterion_04_fourth_order_zero(model):
     orders, coeff0 = {}, None
     for a in (0.0, 0.5, 1.0, 2.0):
-        p, s = model[a]
-        order, coeff = laurent_order_at_infinity(p, s)
+        p, _ = model[a]
+        order, coeff = laurent_order_at_infinity(p)
         orders[a] = order
         if a == 0.0:
             coeff0 = coeff
@@ -111,12 +111,12 @@ def test_criterion_04_fourth_order_zero(model):
 def test_criterion_05_zero_counts(model):
     counts = []
     for a in (0.5, 1.0, 2.0):
-        p, s = model[a]
+        p, _ = model[a]
         for hw, hh in ((3.0, 2.0), (5.0, 3.0), (8.0, 5.0)):
             cont = keyhole_contour(p, max(hw, p.alpha + 0.5), hh)
-            counts.append(count_zeros(p, s, cont))
-    p0, s0 = model[0.0]
-    counts.append(count_zeros(p0, s0, semicircle_contour()))
+            counts.append(count_zeros(p, cont))
+    p0, _ = model[0.0]
+    counts.append(count_zeros(p0, semicircle_contour()))
     ok = all(c == 0 for c in counts)
     report(5, ok, f"argument-principle windings {counts} all zero "
            "(3 nested keyholes x a in {0.5,1,2} + a=0 semicircle)")
@@ -198,7 +198,7 @@ def test_criterion_09_figure_reproduction(capsys):
 
 
 def test_criterion_10_free_molecular():
-    nodes, wts = gauss_panels(0.0, 8.6, n_panels=12, n_per=24)
+    nodes, wts = gauss_panels(0.0, 8.6, (), 12, 24)
     w = wts * np.exp(-nodes * nodes) * nodes
     bp, bm = fm_basis(nodes), fm_basis(-nodes)
     proj_dev = 0.0

@@ -39,7 +39,6 @@ from bgkspectral.dispersion import (
     _lambda_by_orbit,
     _polyline_points,
     _q_tilde,
-    _sample_polyline,
     winding_number,
 )
 from bgkspectral.limits import (
@@ -245,7 +244,7 @@ class TestLambdaFunction:
             lambda_fn(p, s, mixed)
         assert np.all(np.isfinite(lambda_fn(p, s, np.delete(mixed, 2))))
         with pytest.raises(IllConditionedContourError):
-            count_zeros(p, s, np.array([p.alpha + 0j, 2 + 1j, -2 + 1j]))
+            count_zeros(p, np.array([p.alpha + 0j, 2 + 1j, -2 + 1j]))
         with pytest.raises(SystemExit) as exc:
             main(["dispersion-eval", "--a", "1", "--z-re", repr(p.alpha)])
         assert exc.value.code == 2
@@ -310,32 +309,61 @@ def _raised(call):
     return type(exc.value), str(exc.value)
 
 
+#: the slice bound of the small-slice cases, so that a sliced batch is a few
+#: hundred points: the partition, threads and errors do not depend on it
+SMALL = 64
+
+
+@pytest.fixture
+def small_slices(monkeypatch):
+    monkeypatch.setattr(dispersion, "_LAMBDA_SLICE", SMALL)
+
+
+def _small(size):
+    """The size of a batch cut into as many slices at the small bound as a
+    batch of ``size`` points at the full one: ceil(size * SMALL / SLICE)."""
+    return -(-size * SMALL // SLICE)
+
+
 class TestSlicedEvaluation:
     @pytest.mark.parametrize("a", [0.0, 1.0, 100.0])
+    @pytest.mark.usefixtures("small_slices")
     def test_one_slice_is_the_composition(self, a):
-        # a batch of at most SLICE points keeps the bytes of the unsliced code
+        # a batch of at most one slice keeps the bytes of the unsliced code
         p = make_params(a)
         for kind, (evaluate, _) in EVALUATORS.items():
-            for size in (1, 7, SLICE - 1, SLICE):
+            for size in (1, 7, SMALL - 1, SMALL):
                 x = _points(p, kind, size)
                 assert evaluate(p, x).tobytes() == _composition(p, kind, x).tobytes(), (kind, size)
 
     @pytest.mark.parametrize("a", [0.0, 1.0, 100.0])
-    def test_larger_batches_are_the_composition_per_slice(self, a):
+    def test_larger_batches_are_the_composition_per_slice(self, a, monkeypatch):
+        # at full size one batch per evaluator, at a = 1, above the 16384
+        # points from which numpy elides temporaries; the rest at the small slice
         p = make_params(a)
-        for kind, (evaluate, _) in EVALUATORS.items():
-            for size in (SLICE + 1, 3 * SLICE + 5) + ((100_000,) if kind != "minus" else ()):
-                x = _points(p, kind, size)
-                want = np.concatenate([_composition(p, kind, x[s]) for s in lambda_slices(size)])
-                got = evaluate(p, x)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (kind, size)
+
+        def check(kind, size):
+            x = _points(p, kind, size)
+            want = np.concatenate([_composition(p, kind, x[s]) for s in lambda_slices(size)])
+            got = EVALUATORS[kind][0](p, x)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (kind, size)
+
+        if a == 1.0:
+            for kind in EVALUATORS:
+                check(kind, 2 * SLICE + 1)
+        monkeypatch.setattr(dispersion, "_LAMBDA_SLICE", SMALL)
+        for kind in EVALUATORS:
+            for size in (SMALL + 1, 3 * SMALL + 5) + ((_small(100_000),) if kind != "minus" else ()):
+                check(kind, size)
 
     @pytest.mark.parametrize("size", [SLICE, SLICE + 1, 2 * SLICE, 3 * SLICE + 5, 100_000])
+    @pytest.mark.usefixtures("small_slices")
     def test_slices_follow_documented_partition(self, size, monkeypatch):
-        # contiguous, balanced slices: none longer than SLICE, none shorter
-        # than half of it once the batch is sliced; two threads compute them,
-        # so they are recorded by offset (the points are distinct), not in
-        # the order they finish
+        # contiguous, balanced slices: none longer than the slice, none
+        # shorter than half of it once the batch is sliced; two threads
+        # compute them, so they are recorded by offset (the points are
+        # distinct), not in the order they finish
+        size = _small(size)
         p = make_params(1.0)
         z = _points(p, "fn", size)
         by_offset = {}
@@ -351,10 +379,11 @@ class TestSlicedEvaluation:
         seen = [by_offset[offset] for offset in sorted(by_offset)]
         assert [piece.size for piece in seen] == [s.stop - s.start for s in lambda_slices(size)]
         assert np.concatenate(seen).tobytes() == z.tobytes()
-        assert max(piece.size for piece in seen) <= SLICE
-        assert size <= SLICE or min(piece.size for piece in seen) >= SLICE // 2
+        assert max(piece.size for piece in seen) <= SMALL
+        assert size <= SMALL or min(piece.size for piece in seen) >= SMALL // 2
 
     @pytest.mark.parametrize("kind", list(EVALUATORS))
+    @pytest.mark.usefixtures("small_slices")
     def test_scalar_empty_and_2d_shapes(self, kind):
         p = make_params(1.0)
         evaluate = EVALUATORS[kind][0]
@@ -364,7 +393,7 @@ class TestSlicedEvaluation:
         for empty in (np.array([]), np.zeros((0, 3)), []):
             got = evaluate(p, empty)
             assert got.dtype == dtype and got.shape == np.shape(empty)
-        for shape in ((2, 3), (3, SLICE), (SLICE + 3, 2)):
+        for shape in ((2, 3), (3, SMALL), (SMALL + 3, 2)):
             x = _points(p, kind, math.prod(shape)).reshape(shape)
             got = evaluate(p, x)
             assert got.shape == shape and got.dtype == dtype
@@ -372,20 +401,21 @@ class TestSlicedEvaluation:
             assert evaluate(p, x.T).tobytes() == evaluate(p, x.T.copy()).tobytes()
 
     @pytest.mark.parametrize("a", [0.0, 1.0, 100.0])
+    @pytest.mark.usefixtures("small_slices")
     def test_errors_are_those_of_the_whole_batch(self, a):
         # the checks see the whole batch before it is sliced, so a bad point
         # in any slice raises the type and message of the unsliced check
         p = make_params(a)
-        size = 3 * SLICE + 5
+        size = 3 * SMALL + 5
         nan, on_cut = float("nan"), 0.5 * min(1.0, p.alpha)
         for kind, (evaluate, tn) in EVALUATORS.items():
             x = _points(p, kind, size)
-            bad = {"nan": [(2 * SLICE + 7, nan)], "late nan": [(size - 1, nan)]}
+            bad = {"nan": [(2 * SMALL + 7, nan)], "late nan": [(size - 1, nan)]}
             if kind == "fn":
-                bad["on cut"] = [(SLICE + 2, on_cut)]
-                bad["on cut, then nan"] = [(10, on_cut), (2 * SLICE + 7, nan)]
+                bad["on cut"] = [(SMALL + 2, on_cut)]
+                bad["on cut, then nan"] = [(10, on_cut), (2 * SMALL + 7, nan)]
             else:
-                bad["outside"] = [(SLICE + 2, 1.5 * p.alpha if p.a else nan)]
+                bad["outside"] = [(SMALL + 2, 1.5 * p.alpha if p.a else nan)]
             for case, entries in bad.items():
                 y = x.copy()
                 for i, v in entries:
@@ -402,22 +432,24 @@ class TestSlicedEvaluation:
             assert "side" in want[1]
 
     @pytest.mark.parametrize("a", [0.0, 1.0, 100.0])
+    @pytest.mark.usefixtures("small_slices")
     def test_helper_thread_keeps_the_bytes(self, a, monkeypatch):
         # slices shared with the helper thread give the bytes the caller
-        # gives alone
+        # gives alone, on one CPU
         p = make_params(a)
-        cases = [(kind, size) for kind in EVALUATORS for size in (SLICE + 1, 3 * SLICE + 5)]
-        cases += [(kind, 100_000) for kind in ("fn", "pv", "plus")]
+        cases = [(kind, size) for kind in EVALUATORS for size in (SMALL + 1, 3 * SMALL + 5)]
+        cases += [(kind, _small(100_000)) for kind in ("fn", "pv", "plus")]
         shared = {case: EVALUATORS[case[0]][0](p, _points(p, *case)) for case in cases}
-        monkeypatch.setattr(dispersion, "_helper_pool", lambda: None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         for case in cases:
             alone = EVALUATORS[case[0]][0](p, _points(p, *case))
             assert shared[case].tobytes() == alone.tobytes(), case
 
+    @pytest.mark.usefixtures("small_slices")
     def test_concurrent_callers_get_the_bytes_of_one_call(self):
-        # four callers, one per evaluator, share the one helper at once
+        # four callers, one per evaluator, each with its own helper at once
         p = make_params(1.0)
-        inputs = {kind: _points(p, kind, 3 * SLICE + 5) for kind in EVALUATORS}
+        inputs = {kind: _points(p, kind, 3 * SMALL + 5) for kind in EVALUATORS}
         want = {kind: EVALUATORS[kind][0](p, x).tobytes() for kind, x in inputs.items()}
         got = {kind: [] for kind in EVALUATORS}
         start = threading.Barrier(len(EVALUATORS))
@@ -440,9 +472,10 @@ class TestSlicedEvaluation:
         assert not any(t.is_alive() for t in threads)
         assert got == {kind: [w] * 3 for kind, w in want.items()}
 
+    @pytest.mark.usefixtures("small_slices")
     def test_slices_run_in_the_callers_errstate(self, monkeypatch):
         p = make_params(1.0)
-        z = _points(p, "fn", 100_000)
+        z = _points(p, "fn", _small(100_000))
         seen = []
         real = dispersion.tn_offcut_array
         monkeypatch.setattr(dispersion, "tn_offcut_array",
@@ -451,15 +484,18 @@ class TestSlicedEvaluation:
             lambda_fn(p, None, z)
         assert seen == ["ignore"] * len(lambda_slices(z.size))
 
+    @pytest.mark.usefixtures("small_slices")
     def test_error_in_a_helper_slice_reaches_the_caller(self, monkeypatch):
-        if dispersion._helper_pool() is None:
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        if cpus == 1:
             pytest.skip("one CPU: no helper thread")
 
         class SliceError(Exception):
             pass
 
         p = make_params(1.0)
-        z = _points(p, "fn", 3 * SLICE + 5)
+        z = _points(p, "fn", 3 * SMALL + 5)
         want = lambda_fn(p, None, z).tobytes()
         caller, raised = threading.get_ident(), threading.Event()
         real = dispersion.tn_offcut_array
@@ -475,43 +511,18 @@ class TestSlicedEvaluation:
         monkeypatch.setattr(dispersion, "tn_offcut_array", failing)
         with pytest.raises(SliceError, match="helper slice"):
             lambda_fn(p, None, z)
-        monkeypatch.undo()
+        monkeypatch.setattr(dispersion, "tn_offcut_array", real)
         assert lambda_fn(p, None, z).tobytes() == want
 
-    def test_a_busy_helper_does_not_hold_up_a_caller(self):
-        # a caller whose task waits behind another one's computes every slice
-        # itself and cancels the task: no waiting on a thread that is not free
-        pool = dispersion._helper_pool()
-        if pool is None:
-            pytest.skip("one CPU: no helper thread")
-        p = make_params(1.0)
-        z = _points(p, "fn", 3 * SLICE + 5)
-        want = lambda_fn(p, None, z).tobytes()
-        release, got = threading.Event(), []
-        blocker = pool.submit(release.wait, 600)  # outlasts the join below
-        try:
-            caller = threading.Thread(target=lambda: got.append(lambda_fn(p, None, z).tobytes()))
-            caller.start()
-            caller.join(timeout=60)
-            assert not caller.is_alive()
-        finally:
-            release.set()
-            blocker.result(timeout=60)
-        assert got == [want]
-
+    @pytest.mark.usefixtures("small_slices")
     def test_forked_child_returns(self):
-        # the child has the parent's executor but not its thread; it makes its
-        # own helper, and the parent's would not hold it up either
+        # a child forked after sliced calls starts its own helper per call
         p = make_params(1.0)
-        z = _points(p, "fn", 20_000)
-        want = lambda_fn(p, None, z).tobytes()  # the parent's helper exists now
-        parent_pool = dispersion._helper
+        z = _points(p, "fn", 3 * SMALL + 5)
+        want = lambda_fn(p, None, z).tobytes()
 
         def child():
-            ok = lambda_fn(p, None, z).tobytes() == want
-            dispersion._helper = parent_pool
-            ok = ok and lambda_fn(p, None, z).tobytes() == want
-            sys.exit(0 if ok else 1)
+            sys.exit(0 if lambda_fn(p, None, z).tobytes() == want else 1)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
@@ -525,30 +536,35 @@ class TestSlicedEvaluation:
         assert proc.exitcode == 0
 
     def test_helper_is_made_lazily_and_not_on_one_cpu(self):
-        # in a fresh interpreter: the import starts no thread and leaves the
-        # executor module out; on one CPU a sliced batch makes no helper, on
-        # more it makes exactly one
+        # in a fresh interpreter: the import starts no thread; on one CPU a
+        # sliced batch starts none, on more exactly one, which is gone when
+        # the call returns; the executor module is never imported
         code = """if True:
             import os, sys, threading
             import numpy as np
             import bgkspectral
             from bgkspectral import dispersion, lambda_fn, make_params
-            assert "concurrent.futures.thread" not in sys.modules
             assert threading.active_count() == 1
             cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-            p, z = make_params(1.0), np.linspace(0.1, 3.0, 3 * 8192 + 5) + 0.5j
+            dispersion._LAMBDA_SLICE = 64
+            p, z = make_params(1.0), np.linspace(0.1, 3.0, 3 * 64 + 5) + 0.5j
+            during, real_tn = [], dispersion.tn_offcut_array
+            dispersion.tn_offcut_array = (
+                lambda p, piece: during.append(threading.active_count()) or real_tn(p, piece))
             real = os.sched_getaffinity if hasattr(os, "sched_getaffinity") else None
             os.sched_getaffinity = lambda pid: {0}
             want = lambda_fn(p, None, z).tobytes()
-            assert dispersion._helper is None and threading.active_count() == 1
-            assert "concurrent.futures.thread" not in sys.modules
+            assert set(during) == {1} and threading.active_count() == 1
             if real is None:
                 del os.sched_getaffinity
             else:
                 os.sched_getaffinity = real
             for _ in range(2):
+                during.clear()
                 assert lambda_fn(p, None, z).tobytes() == want
-            assert threading.active_count() == (2 if cpus > 1 else 1)
+                assert max(during) == (2 if cpus > 1 else 1), during
+                assert threading.active_count() == 1
+            assert "concurrent.futures.thread" not in sys.modules
         """
         src = os.path.dirname(dispersion.__file__)
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -678,6 +694,12 @@ class TestSokhotsky:
         assert v.imag == pytest.approx(0.326, abs=1e-3)
 
 
+def _sample_polyline(vertices, total, level=0):
+    """All samples of ``level`` (``_polyline_points``), closing vertex appended."""
+    pts = _polyline_points(vertices, total, level, 0)
+    return np.append(pts, pts[0])
+
+
 def _sample_polyline_loop(vertices, total, level=0):
     """The per-segment loop form of ``_sample_polyline``, as an oracle."""
     v = np.asarray(vertices, dtype=complex)
@@ -732,9 +754,9 @@ class TestZeroCounting:
                     == _sample_polyline(contour, 4096, level)[1::2].tobytes()), level
 
     def test_zero_length_contour_rejected(self, model):
-        p, s = model[1.0]
+        p, _ = model[1.0]
         with pytest.raises(DomainError, match="zero length"):
-            count_zeros(p, s, np.full(3, 2 + 1j))
+            count_zeros(p, np.full(3, 2 + 1j))
 
     def test_sampler_closes_polyline(self):
         v = np.array([0, 1, 1 + 1j, 1j], dtype=complex)
@@ -773,7 +795,7 @@ class TestZeroCounting:
             assert _canonical(-np.conj(pts)) == _canonical(pts)
 
     def test_count_zeros_evaluates_each_orbit_once(self, model, monkeypatch):
-        p, s = model[1.0]
+        p, _ = model[1.0]
         cont = keyhole_contour(p, 3.0, 2.0)
         batches = []
 
@@ -782,7 +804,7 @@ class TestZeroCounting:
             return lambda_fn(params, scheme, z)
 
         monkeypatch.setattr(dispersion, "lambda_fn", counting)
-        assert count_zeros(p, s, cont) == 0
+        assert count_zeros(p, cont) == 0
         # one point per orbit of z -> conj z, -z of the final level's samples
         # (the closing point repeats the first), each evaluated once
         final = _sample_polyline(cont, 4096, len(batches) - 1)[:-1]
@@ -796,7 +818,7 @@ class TestZeroCounting:
     def test_orbit_lookup_matches_unique_form(self, model, monkeypatch):
         # the representatives, their order and the values handed back equal
         # those of np.unique(..., return_inverse=True) on |Re z| + i|Im z|
-        p, s = model[1.0]
+        p, _ = model[1.0]
         rng = np.random.default_rng(4)
         base = rng.normal(size=40) + 1j * rng.normal(size=40)
         base[:4] = (0.0, 1j, 2.0, -0.0 + 0.5j)
@@ -809,7 +831,7 @@ class TestZeroCounting:
             return w * w + (1.0 + 2.0j) * w + 3.0
 
         monkeypatch.setattr(dispersion, "lambda_fn", stub)
-        got = _lambda_by_orbit(p, s, z)
+        got = _lambda_by_orbit(p, z)
         rep, back = np.unique(np.abs(z.real) + 1j * np.abs(z.imag), return_inverse=True)
         vals = (rep * rep + (1.0 + 2.0j) * rep + 3.0)[back]
         assert len(batches) == 1 and batches[0].tobytes() == rep.tobytes()
@@ -819,61 +841,61 @@ class TestZeroCounting:
         # a stand-in for lambda with its symmetries, f(conj z) = conj f(z) and
         # f(-z) = f(z), and zeros at +-z0, +-conj z0: a wrong orbit lookup
         # (say, a missing conjugation) changes both counts
-        p, s = model[1.0]
+        p, _ = model[1.0]
         z0 = 1.5 + 1.0j
         monkeypatch.setattr(dispersion, "lambda_fn",
                             lambda params, scheme, z: (z * z - z0 * z0) * (z * z - np.conj(z0 * z0)))
-        assert count_zeros(p, s, keyhole_contour(p, 3.0, 2.0)) == 4
+        assert count_zeros(p, keyhole_contour(p, 3.0, 2.0)) == 4
         circle = -np.conj(z0) + 0.25 * np.exp(1j * np.linspace(0, 2 * math.pi, 64, endpoint=False))
-        assert count_zeros(p, s, circle) == 1
+        assert count_zeros(p, circle) == 1
 
     def test_keyhole_zero_count(self, model):
-        p, s = model[1.0]
+        p, _ = model[1.0]
         cont = keyhole_contour(p, 3.0, 2.0)
-        assert count_zeros(p, s, cont) == 0
+        assert count_zeros(p, cont) == 0
 
     def test_nested_keyholes(self, model):
         # five nested cut-avoiding contours, identically zero winding
         for a in (0.5, 1.0, 2.0):
-            p, s = model[a]
+            p, _ = model[a]
             for hw, hh in ((3.0, 2.0), (4.0, 2.5), (5.0, 3.0), (6.5, 4.0),
                            (8.0, 5.0)):
                 cont = keyhole_contour(p, max(hw, p.alpha + 0.5), hh)
-                assert count_zeros(p, s, cont) == 0, (a, hw)
+                assert count_zeros(p, cont) == 0, (a, hw)
 
     def test_a0_semicircle(self, model):
-        p, s = model[0.0]
-        assert count_zeros(p, s, semicircle_contour()) == 0
+        p, _ = model[0.0]
+        assert count_zeros(p, semicircle_contour()) == 0
 
     def test_small_circle_off_cut(self, model):
-        p, s = model[1.0]
+        p, _ = model[1.0]
         circle = 2j + 0.25 * np.exp(1j * np.linspace(0, 2 * math.pi, 64, endpoint=False))
-        assert count_zeros(p, s, circle) == 0
+        assert count_zeros(p, circle) == 0
 
     def test_contour_touching_cut_rejected(self, model):
-        p, s = model[1.0]
+        p, _ = model[1.0]
         bad = np.array([0.5 + 0j, 1 + 1j, -1 + 1j], dtype=complex)
         with pytest.raises(IllConditionedContourError):
-            count_zeros(p, s, bad)
+            count_zeros(p, bad)
 
     def test_keyhole_requires_finite_cut(self, model):
         p, _ = model[0.0]
         with pytest.raises(DomainError):
-            keyhole_contour(p)
+            keyhole_contour(p, 3.0, 2.0)
 
 
 class TestLaurent:
     def test_a0_order_and_coefficient(self, model):
-        p, s = model[0.0]
-        order, coeff = laurent_order_at_infinity(p, s)
+        p, _ = model[0.0]
+        order, coeff = laurent_order_at_infinity(p)
         assert order == 4
         assert coeff.real == pytest.approx(0.75, abs=1e-4)
         assert abs(coeff.imag) < 1e-4
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_order_four_general(self, a, model):
-        p, s = model[a]
-        order, coeff = laurent_order_at_infinity(p, s)
+        p, _ = model[a]
+        order, coeff = laurent_order_at_infinity(p)
         assert order == 4
         assert np.isfinite(coeff)
 
@@ -889,7 +911,7 @@ class TestSpectrumDescription:
         # continuous spectrum (-alpha, alpha), one discrete point of order 4
         for a in (0.0, 1.0):
             p, s = model[a]
-            order, _ = laurent_order_at_infinity(p, s)
+            order, _ = laurent_order_at_infinity(p)
             assert order == 4
             inside = np.array([-0.999, -0.5, 0.0, 0.5, 0.999]) * min(p.alpha, 3.0)
             assert np.all(np.isfinite(lambda_pv(p, s, inside)))

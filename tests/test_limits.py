@@ -130,7 +130,7 @@ class TestFreeMolecularKernel:
 
     def test_conservation_moment(self):
         # int e^{-C'^2}|C'| q1(C, C') dC' = 1 via half-line moments k!/2
-        nodes, wts = gauss_panels(0.0, 8.6, n_panels=10, n_per=20)
+        nodes, wts = gauss_panels(0.0, 8.6, (), 10, 20)
         w = wts * np.exp(-nodes * nodes) * nodes
         for c in (0.0, 0.7, -2.1):
             val = np.sum(w * (fm_kernel(c, nodes) + fm_kernel(c, -nodes)))
@@ -182,7 +182,7 @@ class TestProjectedSystem:
 
     def test_projection_integrals_against_quadrature(self):
         # every entry of the defining projection reproduced to 1e-12
-        nodes, wts = gauss_panels(0.0, 8.6, n_panels=12, n_per=24)
+        nodes, wts = gauss_panels(0.0, 8.6, (), 12, 24)
         w = wts * np.exp(-nodes * nodes) * nodes
         bp, bm = fm_basis(nodes), fm_basis(-nodes)
         for i in range(6):

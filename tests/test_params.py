@@ -233,10 +233,10 @@ NON_FINITE_CALLS = {
     "pv_interval_pole": ("pole", lambda v: pv_interval(np.cos, 0.0, 1.0, v)),
     "mu_of": ("c", lambda v: mu_of(P1, v)),
     "discrete_solution": ("x", lambda v: discrete_solution(P1, 3, v, 0.1)),
-    "keyhole_contour_width": ("half_width", lambda v: keyhole_contour(P1, v)),
+    "keyhole_contour_width": ("half_width", lambda v: keyhole_contour(P1, v, 2.0)),
     "keyhole_contour_height": ("half_height", lambda v: keyhole_contour(P1, 3.0, v)),
     "count_zeros": ("contour", lambda v: count_zeros(
-        P1, S1, np.array([complex(v, 1.0), 2 + 1j, -2 + 1j]))),
+        P1, np.array([complex(v, 1.0), 2 + 1j, -2 + 1j]))),
     "residual_2_4": ("x", lambda v: residual_2_4(P1, S1, lambda x, mu: np.ones_like(mu), v)),
 }
 

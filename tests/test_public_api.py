@@ -38,6 +38,26 @@ def test_public_names_pinned():
     assert sorted(bgkspectral.__all__) == PUBLIC
 
 
+#: the parameters with a default, as module.function.parameter, over the
+#: functions defined in the modules below
+DEFAULTED = [
+    "cli.main.argv", "limits.fm_projection_inner.extra_sgn",
+    "spectrum.apply_expansion.derivative", "spectrum.residual_2_4.dh_dx",
+]
+
+
+def test_defaulted_parameters_pinned():
+    found = []
+    for name in ("params", "quadrature", "moments", "dispersion", "spectrum", "limits", "cli"):
+        module = importlib.import_module(f"bgkspectral.{name}")
+        for fname, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                found += [f"{name}.{fname}.{p.name}" for p in inspect.signature(fn).parameters.values()
+                          if p.default is not inspect.Parameter.empty]
+    assert len(DEFAULTED) == 4
+    assert sorted(found) == DEFAULTED
+
+
 def test_public_names_unique_and_resolve():
     assert len(set(bgkspectral.__all__)) == len(bgkspectral.__all__)
     for name in bgkspectral.__all__:

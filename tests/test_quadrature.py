@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import dawsn, gamma, roots_legendre
+from scipy.special import dawsn, gamma, roots_legendre, sici
 
 from bgkspectral import DomainError, make_params
 from bgkspectral.quadrature import (
@@ -176,6 +176,16 @@ class TestIntervalPV:
     def test_empty_interval_rejected(self):
         with pytest.raises(DomainError):
             pv_interval(lambda e: e, 1.0, 1.0, 0.5)
+
+    def test_pole_at_an_end(self):
+        # int_0^1 d(eta)/eta and int_0^1 d(eta)/(eta - 1) diverge: no value
+        for pole in (0.0, 1.0):
+            with pytest.raises(DomainError, match="diverges"):
+                pv_interval(lambda e: np.ones_like(e), 0.0, 1.0, pole)
+        # where f(pole) = 0 the integral converges and is computed directly:
+        # int_0^1 sin(eta)/eta = Si(1), int_0^1 (eta - 1)/(eta - 1) = 1
+        assert pv_interval(np.sin, 0.0, 1.0, 0.0) == pytest.approx(sici(1.0)[0], rel=1e-13)
+        assert pv_interval(lambda e: e - 1.0, 0.0, 1.0, 1.0) == pytest.approx(1.0, rel=1e-13)
 
 
 def loop_panels(edges, n_per):
