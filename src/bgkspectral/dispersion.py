@@ -22,16 +22,15 @@ evaluators keep a ``scheme`` for their positional callers and do not read it.
 ``lambda_fn``, ``lambda_pv`` and ``lambda_boundary`` evaluate a batch in
 contiguous slices of at most 8192 points (``_det_by_slices``), so their
 temporaries scale with the slice, not the batch: a 1e5-point ``lambda_fn``
-peaks at about 5 MiB of traced memory, 1.5 MiB of it the output, and a
-1e6-point one at 19 MiB, where the whole-batch evaluation took 37 and
-373 MiB.  A batch of at most 8192 points is evaluated whole.  In a larger
-one a point's last bits depend on the slice partition, as they depended on
-the batch before (numpy's temporary elision, the kernel's BLAS products).
-The caller shares those slices with one helper thread that it starts for
-the call and joins before returning (none in a process bound to one CPU),
-with the bytes of the caller alone.
-
-Evaluation is pure; callers may fan out over many points in parallel.
+peaks at about 7.5 MiB of traced memory, 1.5 MiB of it the output, and a
+1e6-point one at 22 MiB, where the whole-batch evaluation took 37 and
+373 MiB.  A batch of at most 8192 points is evaluated whole; in a larger
+one a point's last bits depend on the slice partition (numpy's temporary
+elision, the kernel's BLAS products).  The caller shares the slices with
+one helper thread, started for the call and joined before it returns (none
+on one CPU), with the bytes of the caller alone.  Evaluation is pure, but
+one large batch beats fanning its points out over threads: numpy calls on
+arrays of up to about 1e4 elements run slower on two threads than on one.
 """
 
 from __future__ import annotations
@@ -45,15 +44,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationError, IllConditionedContourError
-from .moments import (_cut_points, _offcut_points, boundary_jump_array, tn_boundary_array,
-                      tn_offcut_array, tn_pv_array)
+from .moments import (_LAMBDA_SLICE, _cut_points, _offcut_points, boundary_jump_array,
+                      tn_boundary_array, tn_offcut_array, tn_pv_array)
 from .params import (GasParams, on_cut, require_finite, require_real, rho_of_c, side_sign,
                      velocity_map)
 from .quadrature import QuadratureScheme
-
-#: points per slice of a bulk lambda evaluation (:func:`_det_by_slices`),
-#: below the 16384 elements from which numpy elides temporaries
-_LAMBDA_SLICE = 8192
 
 
 def lambda_matrix(params: GasParams, t: np.ndarray) -> np.ndarray:

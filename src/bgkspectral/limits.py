@@ -23,7 +23,7 @@ Frequency proportional to speed (a -> infinity)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -115,10 +115,10 @@ _FM_BASIS_SGN = (0, 1, 0, 1, 0, 1)
 def fm_kernel(c, c_prime):
     """Free-molecular collision kernel q1(C, C') = 1 + CC' + (C**2-1)(C'**2-1).
 
-    A ``c`` or ``c_prime`` that is not finite raises DomainError.
+    A ``c`` or ``c_prime`` that is complex or not finite raises DomainError.
     """
-    c = np.asarray(c, dtype=float)
-    cp = np.asarray(c_prime, dtype=float)
+    c = require_real("c", c)
+    cp = require_real("c_prime", c_prime)
     require_finite("c", c)
     require_finite("c_prime", cp)
     q = 1.0 + c * cp + (c * c - 1.0) * (cp * cp - 1.0)
@@ -203,7 +203,8 @@ class FreeMolecularSolution:
 
     ``FM_DECAY_RATE`` is sqrt(5*pi)/4, the derived value; the quoted
     literature rate sqrt(3*pi)/2 does not solve the kinetic equation (see
-    DERIVATION_NOTES.md).
+    DERIVATION_NOTES.md).  Each coefficient is stored as a float; one that
+    is complex or not finite raises DomainError naming it.
     """
 
     A0: float = 0.0
@@ -212,6 +213,12 @@ class FreeMolecularSolution:
     A3: float = 0.0
     At1: float = 0.0
     At3: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = require_real(f.name, getattr(self, f.name))
+            require_finite(f.name, value)
+            object.__setattr__(self, f.name, float(value))
 
 
 @lru_cache(maxsize=1)
@@ -289,10 +296,10 @@ def fm_coefficient_vector_dx(sol: FreeMolecularSolution, x) -> np.ndarray:
 def fm_general_solution(sol: FreeMolecularSolution, x, c):
     """h(x, C) assembled from the mode decomposition of the derived system.
 
-    An ``x`` or ``c`` that is not finite raises DomainError.
+    An ``x`` or ``c`` that is complex or not finite raises DomainError.
     """
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(c, dtype=float)
+    x = require_real("x", x)
+    c = require_real("c", c)
     require_finite("x", x)
     require_finite("c", c)
     y = fm_coefficient_vector(sol, x)
@@ -335,12 +342,12 @@ def fm_residual(sol: FreeMolecularSolution, x: float) -> float:
 
     |sgn(C) dh/dx + h - int exp(-C'**2)|C'| q1(C, C') h(x, C') dC'| over 32
     speeds in [0.1, 3.5] and their negatives, with the analytic
-    x-derivative.  An ``x`` that is not finite raises DomainError (through
-    :func:`fm_general_solution`).
+    x-derivative.  An ``x`` that is complex raises DomainError, as one that
+    is not finite does (through :func:`fm_general_solution`).
     """
     g = np.linspace(0.1, 3.5, 32)
     c_grid = np.concatenate([-g[::-1], g])
-    x = float(x)
+    x = float(require_real("x", x))
 
     h_val = fm_general_solution(sol, x, c_grid)
     dh = np.tensordot(fm_coefficient_vector_dx(sol, x), fm_basis(c_grid), axes=(0, 0))

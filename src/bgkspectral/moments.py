@@ -28,7 +28,9 @@ the origin lambda, formed from these moments, loses digits like eps*|z|**4,
 right to 8 digits at |z| = 1e4 and off in the 4th at 1e6.  Synthetic
 division cancels more as |Z| grows, so from |Z| = 8 on a point sums the
 asymptotic moment series of the n = 4 piece to its own smallest term and
-gets n = 3..0 by an exact downward recurrence.
+gets n = 3..0 by an exact downward recurrence: the far points of both
+half-lines at once, in passes of at most _LAMBDA_SLICE points (one or two a
+lambda slice) and blocks of 8 orders in two complex buffers, 2.9 MB a pass.
 On the cut every argument is real and the kernel stays in float64 (Dawson
 and Ei for Faddeeva and E1), with the bits complex arithmetic would give.
 At a = 0 the C < 0 half-line sits at -Z+, so Phi(-Z) reuses the special
@@ -73,10 +75,12 @@ _HALF_MOMENT_ROWS = tuple(_HALF_MOMENTS[None, :n + 2].astype(complex) for n in r
 #: downward recurrence instead of Phi and synthetic division
 _SERIES_RADIUS = 8.0
 
-#: orders of the moment series summed per block, and points per chunk, so
-#: that a block's rows stay in cache
+#: orders of the moment series summed per block
 _SERIES_BLOCK = 8
-_SERIES_CHUNK = 2048
+
+#: points per slice of a bulk lambda evaluation (``dispersion._det_by_slices``)
+#: and per pass of the moment series, below numpy's 16384-element elision
+_LAMBDA_SLICE = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -146,34 +150,35 @@ def _cauchy_halfline_series(a: float, z) -> np.ndarray:
     J_n(Z) ~ -sum_k g_{n+k} Z**-(k+1), g_m = h_m + 2a h_{m+1} + a**2 h_{m+2}.
     Only J_4 is summed, each point up to its own smallest term (g is
     log-convex, so the terms only grow after it) or until its term is below
-    1e-17 of its sum.  Points go in chunks of _SERIES_CHUNK and orders in
-    blocks of _SERIES_BLOCK: a block's rows 1..b hold the powers, partial
-    sums and term sizes of its orders, row 0 those carried in; a point that
-    stops in a block stores the sum before or at its stopping order, and the
-    chunk drops it.  The exact identity J_n = (J_{n+1} - g_n)/Z, stable
-    downward here, gives J_3..J_0; real ``Z`` multiplies by 1/Z, as numpy's
-    complex division by Z + 0j does.
+    1e-17 of its sum.  Points go in passes of _LAMBDA_SLICE and orders in
+    blocks of _SERIES_BLOCK: row 0 of a block holds the power, sum and term
+    size carried in, rows 1..b the powers, partial sums and term sizes of
+    its orders; the terms replace the powers in rows 0..b-1, and row b
+    carries on.  A point that stops in a block stores the sum before or at
+    its stopping order, and the pass drops it.  The exact identity
+    J_n = (J_{n+1} - g_n)/Z, stable downward here, gives J_3..J_0; real
+    ``Z`` multiplies by 1/Z, as numpy's complex division by Z + 0j does.
     """
     h = _HALF_MOMENTS
     g = h[:-2] + 2.0 * a * h[1:-1] + a * a * h[2:]
     out = np.empty((5, z.size), dtype=z.dtype)
     inv = 1.0 / z
-    rows = (_SERIES_BLOCK + 1, min(z.size, _SERIES_CHUNK))
-    buf, mbuf = np.empty((3,) + rows, dtype=z.dtype), np.empty(rows)
-    for start in range(0, z.size, _SERIES_CHUNK):
-        stop = min(start + _SERIES_CHUNK, z.size)
-        live, w = np.arange(start, stop), inv[start:stop]
+    rows = (_SERIES_BLOCK + 1, min(z.size, _LAMBDA_SLICE))
+    buf, mbuf = np.empty((2,) + rows, dtype=z.dtype), np.empty(rows)
+    for start in range(0, z.size, _LAMBDA_SLICE):
+        w = inv[start:start + _LAMBDA_SLICE]
+        live = np.arange(start, start + w.size)
         carry = -w, 0.0, np.inf  # power = -Z**-(k+1), sum, last |term|
         for k in range(4, g.size, _SERIES_BLOCK):
-            (power, total, term), mag = buf[:, :, :live.size], mbuf[:, :live.size]
+            (power, total), mag = buf[:, :, :live.size], mbuf[:, :live.size]
             power[0], total[0], mag[0] = carry
             b = min(_SERIES_BLOCK, g.size - k)
             for j in range(b):
                 np.multiply(power[j], w, out=power[j + 1])
-            np.multiply(g[k:k + b, None], power[:b], out=term[:b])
+            term = np.multiply(g[k:k + b, None], power[:b], out=power[:b])
             for j in range(b):
                 np.add(total[j], term[j], out=total[j + 1])
-            np.abs(term[:b], out=mag[1:b + 1])
+            np.abs(term, out=mag[1:b + 1])
             grew = mag[1:b + 1] > mag[:b]
             done = grew | (mag[1:b + 1] <= 1e-17 * np.abs(total[1:b + 1]))
             ended, keep = done.any(0), slice(None)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import dawsn, roots_legendre
 
 from .errors import DomainError, EvaluationError
-from .params import GasParams, mu_of, require_finite, velocity_map
+from .params import GasParams, mu_of, require_finite, require_real, velocity_map
 
 #: panel edges of the half-line rule
 _PANEL_EDGES = (0.0, 0.6, 1.2, 1.8, 2.4, 3.0, 3.6, 4.4, 5.4, 6.8, 8.6)
@@ -126,11 +126,13 @@ def integrate_pv(scheme: QuadratureScheme, f, pole: float):
     Raises
     ------
     DomainError
-        If the pole lies outside the open interval ``(-alpha, alpha)``.
+        If the pole is complex, not finite or outside the open interval
+        ``(-alpha, alpha)``.
     """
     p = scheme.params
-    x = float(pole)
-    if not np.isfinite(x) or abs(x) >= p.alpha:
+    x = float(require_real("pole", pole))
+    require_finite("pole", x)
+    if abs(x) >= p.alpha:
         raise DomainError(f"pole {x} outside the spectral interval (+-{p.alpha})")
     cx = velocity_map(p, x)
     jac_inv = (1.0 + p.a * abs(cx)) ** 2  # 1/mu'(Cx)
@@ -184,11 +186,14 @@ def pv_interval(f, lo: float, hi: float, pole: float):
     exactly.  If the pole lies outside ``(lo, hi)`` the integral is
     ordinary and is computed directly; at ``lo`` or ``hi`` it converges
     only where ``f(pole) == 0``.  ``f`` must accept ndarrays.  A ``lo``,
-    ``hi`` or ``pole`` that is not finite, or a pole at an end where ``f``
-    is not 0, raises DomainError.
+    ``hi`` or ``pole`` that is complex or not finite, or a pole at an end
+    where ``f`` is not 0, raises DomainError.
     """
+    ends = []
     for name, value in (("lo", lo), ("hi", hi), ("pole", pole)):
-        require_finite(name, value)
+        ends.append(float(require_real(name, value)))
+        require_finite(name, ends[-1])
+    lo, hi, pole = ends
     if hi <= lo:
         raise DomainError("empty integration interval")
     nodes, wts = gauss_panels(lo, hi, (pole,), 16, 16)  # a pole outside is no breakpoint

@@ -132,6 +132,8 @@ class SpectralExpansion:
     inside the cut) with cubic-spline interpolation; outside the grid hull
     A is taken to vanish, so the grid must cover the support of the
     intended density and its endpoint values should be (near) zero.
+    An entry of ``discrete``, ``eta_grid`` or ``a_values`` that is complex
+    or not finite raises DomainError naming the field.
     """
 
     discrete: np.ndarray
@@ -140,17 +142,15 @@ class SpectralExpansion:
     _spline: CubicSpline = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.discrete = np.asarray(self.discrete, dtype=float)
-        self.eta_grid = require_real("eta_grid", self.eta_grid)
-        self.a_values = np.asarray(self.a_values, dtype=float)
+        for name in ("discrete", "eta_grid", "a_values"):
+            setattr(self, name, require_real(name, getattr(self, name)))
+            require_finite(name, getattr(self, name))
         if self.discrete.shape != (4,):
             raise DomainError("expansion needs exactly four discrete coefficients")
         if self.eta_grid.ndim != 1 or self.eta_grid.size < 4:
             raise DomainError("continuum grid needs at least four points")
         if np.any(np.diff(self.eta_grid) <= 0):
             raise DomainError("continuum grid must be strictly increasing")
-        if not np.all(np.isfinite(self.a_values)):
-            raise DomainError("continuum samples must be finite")
         # imported here to keep scipy.interpolate out of `import bgkspectral`
         from scipy.interpolate import CubicSpline
 
@@ -237,7 +237,8 @@ def residual_2_4(params: GasParams, scheme: QuadratureScheme, h, x: float,
     taken by central differences with step 1e-5 unless an analytic
     ``dh_dx(x, mu)`` is supplied.  The test grid is the image of 64
     uniformly spaced speeds in [-3.5, 3.5], which keeps it strictly
-    inside the cut for every slope.  A complex or non-finite ``x`` raises
+    inside the cut for every slope.  A complex or non-finite ``x``, and a
+    value of ``h`` or ``dh_dx`` with a nonzero imaginary part, raise
     DomainError.
     """
     x = float(require_real("x", x))
@@ -249,7 +250,7 @@ def residual_2_4(params: GasParams, scheme: QuadratureScheme, h, x: float,
     # all from one evaluation of h at the nodes and one at their mirror images
     wts, cp = scheme.weights_weighted, scheme.nodes
     cm = -cp
-    hp, hm = np.asarray(h(x, mu_of(params, cp))), np.asarray(h(x, mu_of(params, cm)))
+    hp, hm = (require_real("h", h(x, mu_of(params, c))) for c in (cp, cm))
     i0 = _sym_sum(wts, hp, hm)
     i1 = _sym_sum(wts, hp * cp, hm * cm)
     i2 = _sym_sum(wts, hp * (cp * cp - params.beta), hm * (cm * cm - params.beta))
@@ -259,15 +260,13 @@ def residual_2_4(params: GasParams, scheme: QuadratureScheme, h, x: float,
         + params.r2 * (c_grid * c_grid - params.beta) * i2
     )
 
-    h_val = np.asarray(h(x, mu_grid), dtype=float)
+    h_val = require_real("h", h(x, mu_grid))
     if dh_dx is not None:
-        dh = np.asarray(dh_dx(x, mu_grid), dtype=float)
+        dh = require_real("dh_dx", dh_dx(x, mu_grid))
     else:
         fd_step = 1e-5
-        dh = (
-            np.asarray(h(x + fd_step, mu_grid), dtype=float)
-            - np.asarray(h(x - fd_step, mu_grid), dtype=float)
-        ) / (2.0 * fd_step)
+        dh = (require_real("h", h(x + fd_step, mu_grid))
+              - require_real("h", h(x - fd_step, mu_grid))) / (2.0 * fd_step)
 
     res = mu_grid * dh + h_val - collision
     if not np.all(np.isfinite(res)):

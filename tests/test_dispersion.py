@@ -10,6 +10,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate as si
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bgkspectral import (
     DomainError,
@@ -573,17 +575,23 @@ class TestSlicedEvaluation:
         assert done.returncode == 0, done.stderr
 
     def test_temporaries_scale_with_the_slice(self):
-        # the unsliced code held about 75 MiB of temporaries at 2e5 points
-        p = make_params(1.0)
-        z = _points(p, "fn", 200_000)
-        lambda_fn(p, None, z[:10])
-        tracemalloc.start()
-        try:
-            out = lambda_fn(p, None, z)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= out.nbytes + 16 * 2**20
+        # the unsliced code held about 75 MiB of temporaries at 2e5 points;
+        # at a = 0 the points move out past |z| = 8, so that both half-lines
+        # of every point take the moment series, two passes a slice
+        for a in (1.0, 0.0):
+            p = make_params(a)
+            z = _points(p, "fn", 200_000)
+            if a == 0.0:
+                z = z + 8.0 * z / np.abs(z)
+                assert np.min(np.abs(z)) >= 8.0
+            lambda_fn(p, None, z[:10])
+            tracemalloc.start()
+            try:
+                out = lambda_fn(p, None, z)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= out.nbytes + 16 * 2**20, a
 
 
 class TestCofactors:
@@ -944,3 +952,38 @@ class TestDispersionEval:
         p, s = model[0.0]
         for x in (0.4, 1.3, 2.2):
             assert lambda_pv(p, s, x) == pytest.approx(lambda_a0_pv(x), rel=1e-11)
+
+
+#: a = 0 or log-uniform in [1e-8, 1e5]
+SLOPES = st.one_of(st.just(0.0), st.floats(-8.0, 5.0).map(lambda e: 10.0 ** e))
+
+
+class TestLambdaProperties:
+    """Identities of lambda at drawn slopes and points (ROADMAP item 12(a));
+    the draws are seeded, so every run checks the same examples."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(a=SLOPES, log_r=st.floats(-3.0, 2.0), theta=st.floats(-math.pi, math.pi))
+    def test_conjugate_and_mirror_symmetry(self, a, log_r, theta):
+        # lambda(conj z) = conj lambda(z) and lambda(-z) = lambda(z), bit for
+        # bit, at |z| in [1e-3, 1e2] off the real axis
+        p = make_params(a)
+        z = 10.0 ** log_r * complex(math.cos(theta), math.sin(theta))
+        assume(z.imag != 0.0)
+        v = lambda_fn(p, None, z)
+        bits = np.complex128(v).tobytes()
+        assert np.complex128(lambda_fn(p, None, -z)).tobytes() == bits, z
+        assert np.complex128(lambda_fn(p, None, z.conjugate())).conj().tobytes() == bits, z
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(a=SLOPES, c=st.floats(-12.0, 12.0))
+    def test_pv_is_the_mean_and_jump_is_x_times_the_claim(self, a, c):
+        # at x = C/(1 + a|C|) inside the cut, against |lambda+|: lambda_pv has
+        # zeros on the cut, and the jump is tiny beside lambda where rho is small
+        p = make_params(a)
+        x = c / (1.0 + a * abs(c))
+        plus, minus = (lambda_boundary(p, None, x, side) for side in ("plus", "minus"))
+        assert abs(lambda_pv(p, None, x) - 0.5 * (plus + minus)) <= 1e-12 * abs(plus), x
+        sj = sokhotsky_jump(p, x)
+        assert sj.lambda_plus == plus
+        assert abs(sj.jump - x * sj.claimed_jump) <= 1e-12 * abs(plus), x

@@ -16,7 +16,7 @@ from bgkspectral import (
 from bgkspectral import moments
 from bgkspectral.dispersion import _cofactors, _det3, lambda_fn, lambda_matrix, lambda_pv
 from bgkspectral.moments import (
-    _SERIES_CHUNK,
+    _LAMBDA_SLICE,
     _SERIES_RADIUS,
     _cauchy_halfline_poly,
     _cauchy_halfline_series,
@@ -448,12 +448,14 @@ def test_scalar_points_match_complex_route(a):
 
 @pytest.mark.parametrize("a", ORACLE_SLOPES)
 def test_blocked_series_matches_per_order_oracle(a):
-    # points in chunks and orders in blocks keep the bytes of the per-order
+    # points in passes and orders in blocks keep the bytes of the per-order
     # sum: just past |Z| = 8, where the series is longest (up to 51 orders),
     # log-uniform up to 1e18, where it stops after one order, and below 8,
-    # reached only by a direct call, where the terms grow
+    # reached only by a direct call, where the terms grow; 16385 points are
+    # the most a lambda slice sends (both half-lines far) plus one
     rng = np.random.default_rng(17)
-    for size in (1, 7, _SERIES_CHUNK - 1, _SERIES_CHUNK, _SERIES_CHUNK + 1, 5000):
+    for size in (1, 7, _LAMBDA_SLICE - 1, _LAMBDA_SLICE, _LAMBDA_SLICE + 1,
+                 2 * _LAMBDA_SLICE + 1):
         for r in (rng.uniform(8.0, 8.05, size), 10.0 ** rng.uniform(math.log10(8.0), 18.0, size),
                   rng.uniform(1.0, 8.0, size)):
             z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, size))

@@ -18,6 +18,7 @@ from bgkspectral import (
     fm_general_solution,
     fm_kernel,
     fm_residual,
+    integrate_pv,
     kernel_q_c,
     keyhole_contour,
     make_params,
@@ -219,6 +220,26 @@ class TestConservationClosure:
 P1 = make_params(1.0)
 S1 = make_scheme(P1)
 FM1 = FreeMolecularSolution(A0=1.0)
+GRID = np.linspace(0.1, 0.8, 9)
+
+
+def _expansion_at(v, field):
+    """apply_expansion with ``v`` as the middle entry of one field of an
+    expansion (0.45 on the grid becomes 0.5, which keeps it increasing)."""
+    fields = {"discrete": np.ones(4), "eta_grid": GRID, "a_values": np.sin(9.0 * GRID)}
+    fields[field] = np.where(np.arange(fields[field].size) == fields[field].size // 2,
+                             v, fields[field])
+    return apply_expansion(P1, S1, SpectralExpansion(**fields), 0.3, 0.2)
+
+
+#: the coefficient fields of the solution and expansion objects, for both
+#: tables below
+FIELD_CALLS = {
+    **{f"FreeMolecularSolution_{k}": (k, lambda v, k=k: fm_general_solution(
+        FreeMolecularSolution(**{k: v}), 0.3, 0.7)) for k in ("A0", "A1", "A2", "A3", "At1", "At3")},
+    **{f"SpectralExpansion_{k}": (k, lambda v, k=k: _expansion_at(v, k))
+       for k in ("discrete", "eta_grid", "a_values")},
+}
 NON_FINITE_CALLS = {
     "lambda_c_stable": ("z", lambda v: lambda_c_stable(complex(v, 1.0))),
     "fm_general_solution_x": ("x", lambda v: fm_general_solution(FM1, v, 0.5)),
@@ -238,6 +259,8 @@ NON_FINITE_CALLS = {
     "count_zeros": ("contour", lambda v: count_zeros(
         P1, np.array([complex(v, 1.0), 2 + 1j, -2 + 1j]))),
     "residual_2_4": ("x", lambda v: residual_2_4(P1, S1, lambda x, mu: np.ones_like(mu), v)),
+    "integrate_pv": ("pole", lambda v: integrate_pv(S1, np.cos, v)),
+    **FIELD_CALLS,
 }
 
 
@@ -249,8 +272,9 @@ def test_non_finite_input_rejected(entry, bad):
         call(bad)
 
 
-EXPANSION1 = SpectralExpansion(discrete=np.ones(4), eta_grid=np.linspace(0.1, 0.8, 9),
-                               a_values=np.zeros(9))
+EXPANSION1 = SpectralExpansion(discrete=np.ones(4), eta_grid=GRID, a_values=np.zeros(9))
+
+
 COMPLEX_CALLS = {
     "residual_2_4": ("x", lambda v: residual_2_4(P1, S1, lambda x, mu: np.ones_like(mu), v)),
     "discrete_solution": ("x", lambda v: discrete_solution(P1, 3, v, 0.1)),
@@ -261,6 +285,19 @@ COMPLEX_CALLS = {
     "mu_of_array": ("c", lambda v: mu_of(P1, np.array([0.2, v]))),
     "kernel_q_c": ("c", lambda v: kernel_q_c(P1, v, 0.5)),
     "kernel_q_c_prime": ("c_prime", lambda v: kernel_q_c(P1, 0.5, v)),
+    "fm_kernel": ("c", lambda v: fm_kernel(v, 0.3)),
+    "fm_kernel_prime": ("c_prime", lambda v: fm_kernel(0.3, v)),
+    "fm_general_solution_x": ("x", lambda v: fm_general_solution(FM1, v, 0.3)),
+    "fm_general_solution_c": ("c", lambda v: fm_general_solution(FM1, 0.3, v)),
+    "fm_residual": ("x", lambda v: fm_residual(FM1, v)),
+    **FIELD_CALLS,
+    "pv_interval_lo": ("lo", lambda v: pv_interval(np.cos, v, 2.0, 1.0)),
+    "pv_interval_hi": ("hi", lambda v: pv_interval(np.cos, -1.0, v, 0.0)),
+    "pv_interval_pole": ("pole", lambda v: pv_interval(np.cos, 0.0, 1.0, v)),
+    "integrate_pv": ("pole", lambda v: integrate_pv(S1, np.cos, v)),
+    "residual_2_4_h": ("h", lambda v: residual_2_4(P1, S1, lambda x, mu: v * np.ones_like(mu), 0.5)),
+    "residual_2_4_dh_dx": ("dh_dx", lambda v: residual_2_4(
+        P1, S1, lambda x, mu: np.ones_like(mu), 0.5, dh_dx=lambda x, mu: v * np.ones_like(mu))),
 }
 
 
