@@ -44,11 +44,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationError, IllConditionedContourError
-from .moments import (_LAMBDA_SLICE, _cut_points, _offcut_points, boundary_jump_array,
-                      tn_boundary_array, tn_offcut_array, tn_pv_array)
+from .moments import (_cut_points, _offcut_points, boundary_jump_array, tn_boundary_array,
+                      tn_offcut_array, tn_pv_array)
 from .params import (GasParams, on_cut, require_finite, require_real, rho_of_c, side_sign,
                      velocity_map)
 from .quadrature import QuadratureScheme
+
+#: points per slice of a bulk lambda evaluation (:func:`_det_by_slices`),
+#: below the 16384 elements from which numpy elides temporaries
+_LAMBDA_SLICE = 8192
 
 
 def lambda_matrix(params: GasParams, t: np.ndarray) -> np.ndarray:

@@ -26,11 +26,10 @@ integral.  The construction keeps its accuracy down to the cut (the fixed
 quadrature rule, by contrast, loses all digits within O(1) of it); far from
 the origin lambda, formed from these moments, loses digits like eps*|z|**4,
 right to 8 digits at |z| = 1e4 and off in the 4th at 1e6.  Synthetic
-division cancels more as |Z| grows, so from |Z| = 8 on a point sums the
-asymptotic moment series of the n = 4 piece to its own smallest term and
-gets n = 3..0 by an exact downward recurrence: the far points of both
-half-lines at once, in passes of at most _LAMBDA_SLICE points (one or two a
-lambda slice) and blocks of 8 orders in two complex buffers, 2.9 MB a pass.
+division cancels more as |Z| grows, so from |Z| = 8 on the far points of
+both half-lines at once sum the asymptotic moment series of the n = 4 piece
+by Horner's rule over a fixed 53 orders and get n = 3..0 by an exact
+downward recurrence, with temporaries of O(N) like the near branch's.
 On the cut every argument is real and the kernel stays in float64 (Dawson
 and Ei for Faddeeva and E1), with the bits complex arithmetic would give.
 At a = 0 the C < 0 half-line sits at -Z+, so Phi(-Z) reuses the special
@@ -41,13 +40,10 @@ Byte contract: outputs are pinned bit for bit, so a change keeps each
 operation's operands, their order and numpy's inner loop.  Bits stay with
 ``np.dot`` of complex (1, k) moment rows (the product np.tensordot makes),
 whole-batch calls in place of masked ones, index gathers and scatters in
-place of mask ones, ``out=`` into fresh arrays or buffer rows, and in the
-series a float64 (k, 1) column of g times a block of power rows, and
-``np.cumsum`` down a block (slower than row-wise adds).  They move with
-swapped complex factors (fused multiply-add; hence the ``.copy()`` for
-temporary elision), in-place complex products, a float64 dot, ``/ z`` for
-``* (1/z)`` in the real series, ``np.multiply.accumulate`` for its powers,
-and another BLAS batch.
+place of mask ones, and ``out=`` into fresh arrays.  They move with swapped
+complex factors (fused multiply-add; hence the ``.copy()`` for temporary
+elision), in-place complex products, a float64 dot, ``/ z`` for
+``* (1/z)`` in the series, and another BLAS batch.
 
 Everything here is a pure function of immutable inputs; concurrent use
 needs no coordination.
@@ -66,21 +62,19 @@ from .params import (GasParams, on_cut, require_finite, require_real, rho_of_c, 
 
 SQRT_PI = math.sqrt(math.pi)
 
-#: half-line Gaussian moments  int_0^inf t**k exp(-t**2) dt = Gamma((k+1)/2)/2,
-#: and the rows h_0..h_{n+1} of J_0..J_4 as np.dot casts them for the quotient
-_HALF_MOMENTS = np.array([float(gamma((k + 1) / 2)) / 2.0 for k in range(176)])
-_HALF_MOMENT_ROWS = tuple(_HALF_MOMENTS[None, :n + 2].astype(complex) for n in range(5))
-
 #: |Z| from which a half-line transform takes the moment series and the
 #: downward recurrence instead of Phi and synthetic division
 _SERIES_RADIUS = 8.0
 
-#: orders of the moment series summed per block
-_SERIES_BLOCK = 8
+#: Horner steps of the J_4 series past its leading order: at |Z| = 8 the
+#: terms still shrink (the smallest lies near order 2|Z|**2) and fall below
+#: 1e-17 of the sum by order 51 for every a
+_SERIES_TERMS = 52
 
-#: points per slice of a bulk lambda evaluation (``dispersion._det_by_slices``)
-#: and per pass of the moment series, below numpy's 16384-element elision
-_LAMBDA_SLICE = 8192
+#: half-line Gaussian moments  int_0^inf t**k exp(-t**2) dt = Gamma((k+1)/2)/2,
+#: and the rows h_0..h_{n+1} of J_0..J_4 as np.dot casts them for the quotient
+_HALF_MOMENTS = np.array([float(gamma((k + 1) / 2)) / 2.0 for k in range(_SERIES_TERMS + 7)])
+_HALF_MOMENT_ROWS = tuple(_HALF_MOMENTS[None, :n + 2].astype(complex) for n in range(5))
 
 
 # ---------------------------------------------------------------------------
@@ -144,56 +138,27 @@ def _cauchy_halfline_poly(a: float, z, phi_z):
         p_at_z = p_at_z * z + 0.0  # p_{n+1}(Z)
 
 
+def _series_coefficients(a: float) -> np.ndarray:
+    """g_m = int_0^inf C**m (1+aC)**2 exp(-C**2) dC, m = 0..4 + _SERIES_TERMS."""
+    h = _HALF_MOMENTS
+    return h[:-2] + 2.0 * a * h[1:-1] + a * a * h[2:]
+
+
 def _cauchy_halfline_series(a: float, z) -> np.ndarray:
     """The same transforms J_0..J_4 for |Z| >= _SERIES_RADIUS; (5, z.size).
 
-    J_n(Z) ~ -sum_k g_{n+k} Z**-(k+1), g_m = h_m + 2a h_{m+1} + a**2 h_{m+2}.
-    Only J_4 is summed, each point up to its own smallest term (g is
-    log-convex, so the terms only grow after it) or until its term is below
-    1e-17 of its sum.  Points go in passes of _LAMBDA_SLICE and orders in
-    blocks of _SERIES_BLOCK: row 0 of a block holds the power, sum and term
-    size carried in, rows 1..b the powers, partial sums and term sizes of
-    its orders; the terms replace the powers in rows 0..b-1, and row b
-    carries on.  A point that stops in a block stores the sum before or at
-    its stopping order, and the pass drops it.  The exact identity
-    J_n = (J_{n+1} - g_n)/Z, stable downward here, gives J_3..J_0; real
-    ``Z`` multiplies by 1/Z, as numpy's complex division by Z + 0j does.
+    J_4 ~ -sum_k g_{4+k} w**(k+1), w = 1/Z, by Horner's rule over k <=
+    _SERIES_TERMS, and the exact identity J_n = (J_{n+1} - g_n) w, stable
+    downward here, gives J_3..J_0.  Real ``Z`` gives the real part of Z + 0j.
     """
-    h = _HALF_MOMENTS
-    g = h[:-2] + 2.0 * a * h[1:-1] + a * a * h[2:]
-    out = np.empty((5, z.size), dtype=z.dtype)
-    inv = 1.0 / z
-    rows = (_SERIES_BLOCK + 1, min(z.size, _LAMBDA_SLICE))
-    buf, mbuf = np.empty((2,) + rows, dtype=z.dtype), np.empty(rows)
-    for start in range(0, z.size, _LAMBDA_SLICE):
-        w = inv[start:start + _LAMBDA_SLICE]
-        live = np.arange(start, start + w.size)
-        carry = -w, 0.0, np.inf  # power = -Z**-(k+1), sum, last |term|
-        for k in range(4, g.size, _SERIES_BLOCK):
-            (power, total), mag = buf[:, :, :live.size], mbuf[:, :live.size]
-            power[0], total[0], mag[0] = carry
-            b = min(_SERIES_BLOCK, g.size - k)
-            for j in range(b):
-                np.multiply(power[j], w, out=power[j + 1])
-            term = np.multiply(g[k:k + b, None], power[:b], out=power[:b])
-            for j in range(b):
-                np.add(total[j], term[j], out=total[j + 1])
-            np.abs(term, out=mag[1:b + 1])
-            grew = mag[1:b + 1] > mag[:b]
-            done = grew | (mag[1:b + 1] <= 1e-17 * np.abs(total[1:b + 1]))
-            ended, keep = done.any(0), slice(None)
-            if ended.any():
-                fin, keep = np.flatnonzero(ended), np.flatnonzero(~ended)
-                first = done[:, fin].argmax(0)  # the sum before a grown term
-                out[4, live[fin]] = total[first + 1 - grew[first, fin], fin]
-                if not keep.size:
-                    break
-                live, w = live[keep], w[keep]
-            carry = power[b, keep], total[b, keep], mag[b, keep]
-        else:  # out of orders
-            out[4, live] = carry[1]
+    g = _series_coefficients(a)
+    w, s = 1.0 / z, np.full(z.shape, g[4 + _SERIES_TERMS], dtype=z.dtype)
+    for m in range(3 + _SERIES_TERMS, 3, -1):
+        s = s * w + g[m]
+    out = np.empty((5,) + z.shape, dtype=z.dtype)
+    out[4] = -(s * w)
     for n in range(3, -1, -1):
-        out[n] = (out[n + 1] - g[n]) / z if z.dtype == complex else (out[n + 1] - g[n]) * inv
+        out[n] = (out[n + 1] - g[n]) * w
     return out
 
 
@@ -247,9 +212,19 @@ def _tn_halflines(a: float, z: np.ndarray) -> np.ndarray:
     for the principal value).  Real ``z`` stays in real arithmetic, because
     a complex division by ``1 - a*z`` rounds differently from a real one.
     At real ``z = 0`` the result is finite and the caller sets it.
+
+    A subnormal distance from a branch point +-alpha (complex z, a > 0),
+    Z = z/d overflows with d = 1 -+ az; there J_n(Z)/d is set to the series'
+    leading term -g_n/(Z d), Z d = z (C > 0) or -z (C < 0), and d to 1.
     """
     dp, dm = 1.0 - a * z, 1.0 + a * z
+    edges = [np.abs(d) < 1e-300 * np.abs(z) for d in (dp, dm) if a > 0.0 and np.iscomplexobj(z)]
+    if np.count_nonzero(edges):
+        dp, dm = np.where(edges[0], 1.0, dp), np.where(edges[1], 1.0, dm)
     out, jm = _cauchy_halflines(a, z, dp, dm)
+    if np.count_nonzero(edges):
+        g = _series_coefficients(a)[:5, None]
+        out[:, edges[0]], jm[:, edges[1]] = -g / z[edges[0]], g / z[edges[1]]
     out /= dp
     for n in range(5):
         out[n] = z * (out[n] + (-1.0) ** (n + 1) * jm[n] / dm)

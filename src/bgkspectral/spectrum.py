@@ -12,8 +12,9 @@ of the continuum eigenfunctions against a coefficient density A(eta);
 ``apply_expansion`` evaluates that representation and ``residual_2_4``
 measures how well any candidate h satisfies the equation.
 
-All operations are pure; expansion evaluation over many (x, mu) points
-is embarrassingly parallel.
+All operations are pure, so threads may share them, but fanning (x, mu)
+points out over threads does not pay: numpy calls on arrays of up to about
+1e4 elements ran slower on two threads than on one (README, design notes).
 """
 
 from __future__ import annotations

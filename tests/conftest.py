@@ -80,7 +80,7 @@ def cauchy_halfline_poly_oracle(a, n, z, phi_z):
 # ---------------------------------------------------------------------------
 
 SERIES_RADIUS = 8.0
-_SERIES_MOMENTS = np.array([float(gamma((k + 1) / 2)) / 2.0 for k in range(176)])
+_SERIES_MOMENTS = np.array([float(gamma((k + 1) / 2)) / 2.0 for k in range(59)])
 
 
 def phi_halfline_oracle(z):
@@ -101,29 +101,18 @@ def phi_halfline_oracle(z):
 
 
 def cauchy_halfline_series_oracle(a, z):
-    """J_0..J_4 at complex |Z| >= 8 from the asymptotic series of J_4, summed
-    per point to its smallest term, and the downward recurrence."""
+    """J_0..J_4 at complex |Z| >= 8 from the asymptotic series of J_4, orders
+    4..56 by Horner's rule in w = 1/Z, and the downward recurrence."""
     h = _SERIES_MOMENTS
     g = h[:-2] + 2.0 * a * h[1:-1] + a * a * h[2:]
+    w = 1.0 / z
+    s = np.full(z.shape, g[56], dtype=complex)
+    for m in range(55, 3, -1):
+        s = s * w + g[m]
     out = np.empty((5, z.size), dtype=complex)
-    live, w, total = np.arange(z.size), 1.0 / z, np.zeros_like(z)
-    power, prev = -w, np.full(z.shape, np.inf)
-    for gm in g[4:]:
-        term = gm * power
-        mag = np.abs(term)
-        grew = mag > prev
-        total = np.where(grew, total, total + term)
-        done = grew | (mag <= 1e-17 * np.abs(total))
-        if done.any():
-            out[4, live[done]] = total[done]
-            keep = ~done
-            live, w, power, total, mag = live[keep], w[keep], power[keep], total[keep], mag[keep]
-            if not live.size:
-                break
-        prev, power = mag, power * w
-    out[4, live] = total
+    out[4] = -(s * w)
     for n in range(3, -1, -1):
-        out[n] = (out[n + 1] - g[n]) / z
+        out[n] = (out[n + 1] - g[n]) * w
     return out
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import bgkspectral
-from bgkspectral import cli, dispersion
+from bgkspectral import cli, dispersion, moments
 from bgkspectral.cli import main
 
 SQPI = math.sqrt(math.pi)
@@ -63,6 +63,14 @@ class TestDispersionCurve:
             run_cli(capsys, "dispersion-curve", "--a", "2", "--x-min", "-1",
                     "--x-max", "1")
         assert exc.value.code == 2
+
+    def test_range_error_message(self, capsys):
+        # raised as DomainError and turned into the parser's usage error
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "dispersion-curve", "--a", "1", "--x-min", "-2")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "bgkspectral: error: x range [-2.0, 0.999999] must lie inside the cut (-1.0, 1.0)\n")
 
     def test_negative_slope_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -187,6 +195,12 @@ class TestSpectrumVerify:
     def test_malformed_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "spectrum-verify", "--a", "-1")
+        assert exc.value.code == 2
+
+    def test_format_is_not_an_option(self, capsys):
+        # the report is always JSON
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "spectrum-verify", "--a", "1", "--format", "json")
         assert exc.value.code == 2
 
     def test_numerical_failure_exits_one(self, capsys, monkeypatch):
@@ -388,6 +402,28 @@ def test_readme_output_golden(command, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == README_DIGESTS[command]
 
 
+def test_readme_outputs_reach_the_series_only_through_zero_counts(tmp_path, monkeypatch):
+    # the far-field moment series shows in the README outputs only through
+    # the integer zero counts, so a change to its last bits moves no README
+    # digest and no entry of the benchmark's table
+    callers = []
+    series = moments._cauchy_halfline_series
+
+    def recording(a, z):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        callers.append(names)
+        return series(a, z)
+
+    monkeypatch.setattr(moments, "_cauchy_halfline_series", recording)
+    for command in README_DIGESTS:
+        assert main(command.split() + ["--out", str(tmp_path / "out")]) == 0
+    assert callers  # spectrum-verify --a 1 counts zeros over far points
+    assert all("count_zeros" in names for names in callers)
+
+
 def test_readme_digests_match_benchmark_table():
     # the benchmark pins the same digests; a re-pin must update both tables.
     # Parsed as text so the test does not import the benchmark.
@@ -403,10 +439,13 @@ def test_readme_digests_match_benchmark_table():
 #: Speed-ups must leave these bytes alone; a fix that moves a report re-pins
 #: its digest with a stated reason.
 VERIFY_DIGESTS = {
-    "0": ("9fd0779fd047a5dfe30ba1d5b527935b8161dd2a1d3a833f45e84be481c4e370", 0),
-    "1e-8": ("5364e8a2de2dc1e4636f8bedaa0e96fbe1e7aa3fc7be3169dea6653061606d87", 1),
-    "1e-3": ("63531614bdc9a5202e44638380ea9f220e6aa0a66ee083900cf35c643d66c4d9", 1),
-    "0.1": ("2d446164c774ea40ff896806d5743ea1c5260b929ce8ff57cd6a41a99b0cebc0", 0),
+    # re-pinned when the moment series became a fixed Horner sum: only the
+    # laurent_order coefficient moves (and laurent_coefficient_a0 at a = 0),
+    # its radii reaching the series; every status and exit code stays
+    "0": ("9e58aedfad0bd74b0d3725213bc210e0580d9e6a63f5aa96609f7c6b196bc580", 0),
+    "1e-8": ("1e8a8edb760cda63a61b605992f69bd7b313aef6570a476ef636f858d8a0def9", 1),
+    "1e-3": ("5eb16299bdda531b8f21b666fab320d02fea16bf8b1e89a18965f053b5b37532", 1),
+    "0.1": ("24099f39dcd6d132a5f23b25c75a6447d20de8cb5b3428972e25038afeaa1558", 0),
     "1": ("d6dbdb38b52f65bd3cb95f5076a79c7a25f22d2a5144639a9caaf235e21da2c0", 0),
     "10": ("df74832ad94732c9486cb49983a9956f8d318a1f3079119005a5584f17e6ec93", 1),
     "100": ("2a3e3352c0e1fa1013d38545ce0577627131563c5b041dc00b5959c1968c1977", 1),
@@ -425,12 +464,15 @@ VERIFY_DIGESTS = {
 KERNEL_DIGESTS = {
     "--a 1 --z-re 0.3 --z-im 0.1":
         "7e35d296c5333a54f80dbff4f3aa3d5424747dc59c1fbf0d9f7a941fe3aac2fe",
+    # re-pinned when the moment series became a fixed Horner sum, as the
+    # three other points marked below: |Z+| >= 8, so the last bits of t_n move
     "--a 1 --z-re 0.95 --z-im 0.001":
-        "a10da8e1c273fa37b2218857af3ccc42b627149af256da5a7b6fa3fdfd6a4a25",
+        "85729e0749f66bea1944a10fa67981a0f1c40ffd938b5003539b6a5ba595fdbf",
     "--a 1 --z-re 0.3":
         "8c3039d4782d68d0a0a3ed5de066c3f80c122b55420728b3a05d2cc197e07c58",
+    # re-pinned: Horner series (see above)
     "--a 1 --z-re 0.95":
-        "b67e4bbde5d24289a8abceee3a9cb8326388419d9e8f1552d11d74e468172be2",
+        "2facb5b375b0611b968ab385d38d3245bdd7603b326113bad7524e09ea99ab5e",
     "--a 1 --z-re 0.5 --side plus":
         "f93f9ee7b5a33edf4cfd98a90c534d97a45dccb1380f64a05cdad8dbfdb595a1",
     "--a 1 --z-re -0.5 --side minus":
@@ -441,10 +483,12 @@ KERNEL_DIGESTS = {
         "8514148e2abd39a107318220aab2fac391cc2ea97e4a821d6fd44246546668d6",
     "--a 0 --z-re 1.5":
         "59dcdf97634fc99ed2b86a34258ef003e0a54bcc2358699bccf6e4e3622d19cd",
+    # re-pinned: Horner series (see above)
     "--a 0 --z-re -9.5 --side plus":
-        "b61cb04afa8aa0fec3f6135aefb7ed04a5c36a7d8f78debffd098cb784548e40",
+        "8b4c96546f91fda272f417fb415ccec2400ca3be38ccf062603ae75e1b8710d7",
+    # re-pinned: Horner series (see above)
     "--a 0 --z-re 10 --z-im -3":
-        "c4ffc39f2a5b0265f6342ff805de1432ddfbae48956474bc854902dd588b2b3f",
+        "a354e6c5db5c24aef1fcff362a48dff9352ca0afa6cf234b41e8a2a372ff2dd2",
     "--a 100 --z-re 0.005 --z-im 0.001":
         "e553480c71da858ffe259080a4197a5e0c5a6a34ee21955100648205fb0abfc2",
     "--a 100 --z-re 0.00999":

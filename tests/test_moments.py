@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -14,9 +15,9 @@ from bgkspectral import (
     make_params,
 )
 from bgkspectral import moments
-from bgkspectral.dispersion import _cofactors, _det3, lambda_fn, lambda_matrix, lambda_pv
+from bgkspectral.dispersion import (_LAMBDA_SLICE, _cofactors, _det3, lambda_fn, lambda_matrix,
+                                    lambda_pv)
 from bgkspectral.moments import (
-    _LAMBDA_SLICE,
     _SERIES_RADIUS,
     _cauchy_halfline_poly,
     _cauchy_halfline_series,
@@ -231,33 +232,33 @@ def test_asymptotic_moments_closed_form(model):
         assert np.max(np.abs(m - quad)) < 1e-11
 
 
-def mpmath_moments(a, z):
-    """t0..t4 at ``z`` (complex, or real for the principal value), to 40 digits.
+def mpmath_halfline(a, big_z):
+    """J_0..J_4 at one half-line argument ``big_z``, at mpmath's working
+    precision: Phi(Z) = int_0^inf exp(-t**2)/(t - Z) dt in closed form (erfc
+    and E1 off the real axis, erfi and Ei on it) and the exact recurrence
+    K_{n+1} = h_n + Z K_n for K_n = int_0^inf exp(-t**2) t**n/(t - Z) dt."""
+    if mp.im(big_z) < 0:
+        return [mp.conj(j) for j in mpmath_halfline(a, mp.conj(big_z))]
+    h = [mp.gamma(mp.mpf(k + 1) / 2) / 2 for k in range(6)]
+    s = big_z * big_z
+    if mp.im(big_z) == 0:
+        k = [(-mp.pi * mp.erfi(big_z) - mp.ei(s)) * mp.exp(-s) / 2]
+    else:
+        k = [(1j * mp.pi * mp.erfc(-1j * big_z) + mp.e1(-s)) * mp.exp(-s) / 2]
+    for n in range(6):
+        k.append(h[n] + big_z * k[-1])
+    return [k[n] + 2 * a * k[n + 1] + a * a * k[n + 2] for n in range(5)]
 
-    Each half-line transform comes from Phi(Z) = int_0^inf exp(-t**2)/(t - Z) dt
-    in closed form (erfc and E1 off the real axis, erfi and Ei on it) and the
-    exact recurrence K_{n+1} = h_n + Z K_n for K_n = int_0^inf exp(-t**2)
-    t**n/(t - Z) dt; at |Z| = 1e3 its cancellation still leaves 28 digits.
-    """
+
+def mpmath_moments(a, z):
+    """t0..t4 at ``z`` (complex, or real for the principal value), to 40
+    digits from the two half-lines; at |Z| = 1e3 the cancellation of the
+    recurrence still leaves 28."""
     with mp.workdps(40):
         a = mp.mpf(a)
         z = mp.mpc(z) if isinstance(z, complex) else mp.mpf(z)
-        h = [mp.gamma(mp.mpf(k + 1) / 2) / 2 for k in range(6)]
-
-        def halfline(big_z):
-            if mp.im(big_z) < 0:
-                return [mp.conj(j) for j in halfline(mp.conj(big_z))]
-            s = big_z * big_z
-            if mp.im(big_z) == 0:
-                k = [(-mp.pi * mp.erfi(big_z) - mp.ei(s)) * mp.exp(-s) / 2]
-            else:
-                k = [(1j * mp.pi * mp.erfc(-1j * big_z) + mp.e1(-s)) * mp.exp(-s) / 2]
-            for n in range(6):
-                k.append(h[n] + big_z * k[-1])
-            return [k[n] + 2 * a * k[n + 1] + a * a * k[n + 2] for n in range(5)]
-
         dp, dm = 1 - a * z, 1 + a * z
-        jp, jm = halfline(z / dp), halfline(-z / dm)
+        jp, jm = mpmath_halfline(a, z / dp), mpmath_halfline(a, -z / dm)
         return [complex(z * (jp[n] / dp + (-1) ** (n + 1) * jm[n] / dm)) for n in range(5)]
 
 
@@ -447,17 +448,14 @@ def test_scalar_points_match_complex_route(a):
 
 
 @pytest.mark.parametrize("a", ORACLE_SLOPES)
-def test_blocked_series_matches_per_order_oracle(a):
-    # points in passes and orders in blocks keep the bytes of the per-order
-    # sum: just past |Z| = 8, where the series is longest (up to 51 orders),
-    # log-uniform up to 1e18, where it stops after one order, and below 8,
-    # reached only by a direct call, where the terms grow; 16385 points are
-    # the most a lambda slice sends (both half-lines far) plus one
+def test_series_matches_complex_route(a):
+    # the Horner sum and the recurrence keep the oracle's bytes, real Z its
+    # real part: just past |Z| = 8, where the terms shrink slowest, and
+    # log-uniform up to 1e18; 16385 points are the most a lambda slice sends
+    # (both half-lines far) plus one
     rng = np.random.default_rng(17)
-    for size in (1, 7, _LAMBDA_SLICE - 1, _LAMBDA_SLICE, _LAMBDA_SLICE + 1,
-                 2 * _LAMBDA_SLICE + 1):
-        for r in (rng.uniform(8.0, 8.05, size), 10.0 ** rng.uniform(math.log10(8.0), 18.0, size),
-                  rng.uniform(1.0, 8.0, size)):
+    for size in (1, 7, _LAMBDA_SLICE, 2 * _LAMBDA_SLICE + 1):
+        for r in (rng.uniform(8.0, 8.05, size), 10.0 ** rng.uniform(math.log10(8.0), 18.0, size)):
             z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, size))
             assert _cauchy_halfline_series(a, z).tobytes() == \
                 cauchy_halfline_series_oracle(a, z).tobytes(), size
@@ -465,6 +463,38 @@ def test_blocked_series_matches_per_order_oracle(a):
             got = _cauchy_halfline_series(a, x)
             assert got.dtype == float
             assert got.tobytes() == cauchy_halfline_series_oracle(a, x + 0j).real.tobytes(), size
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, 100.0, 1e5])
+def test_series_j4_matches_mpmath_at_switch(a):
+    # at |Z| = 8 the series is longest: J_4 within 6e-16 of 40 digits (the
+    # blocked sum stopped per point read up to 9.5e-16 here, and 40 orders
+    # instead of 53 read 1.8e-15); arguments 0 and pi take the real axis
+    big_z = (8.0 + 1e-9) * np.exp(2j * math.pi * np.arange(32) / 32)
+    got = _cauchy_halfline_series(a, big_z)[4]
+    with mp.workdps(40):
+        want = np.array([complex(mpmath_halfline(mp.mpf(a), mp.mpc(z))[4]) for z in big_z])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 6e-16
+
+
+@pytest.mark.parametrize("a", [1.0, 100.0, 1e5])
+def test_lambda_a_subnormal_distance_from_branch_points(a):
+    # z = +-alpha -+ i*eps: 1 -+ az is subnormal or 0, and Z = z/(1 -+ az)
+    # overflows; the half-line takes the series' leading term there, and
+    # lambda equals its value at eps = 1e-300 without a warning
+    p = make_params(a)
+    eps = np.array([2.2e-309, 1e-310, 5e-324])
+    ordinary = np.array([0.3 * p.alpha + 0.1j, 2.0 * p.alpha - 1j, 5j, 1e3 + 1e3j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sgn in (1.0, -1.0):
+            edge = sgn * (p.alpha - 1j * eps)
+            want = lambda_fn(p, None, sgn * complex(p.alpha, -1e-300))
+            batch = lambda_fn(p, None, np.concatenate([edge, ordinary]))
+            for z, in_batch in zip(edge, batch):
+                for got in (lambda_fn(p, None, z), in_batch):
+                    assert abs(got - want) <= 1e-12 * abs(want), (z, got, want)
+            assert np.all(np.isfinite(batch))
 
 
 @pytest.mark.parametrize("a", ORACLE_SLOPES)
