@@ -15,7 +15,8 @@ The rule, not any tabulated element list, is ground truth: published
 element tables for this family contain internal misprints (an r2 where
 the rule yields r0 in the top-left entry, a t3 where it yields t2 in the
 middle one), and printed cofactor expansions are similarly unreliable.
-All determinants here are computed directly from the assembled matrix.
+All determinants here are computed directly from the assembled matrix;
+the boundary values add the rank-one jump i*pi*x*rho*Q~ to the PV one.
 Nothing here integrates (the moments are closed-form): the lambda
 evaluators keep a ``scheme`` for their positional callers and do not read it.
 
@@ -44,8 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationError, IllConditionedContourError
-from .moments import (_cut_points, _offcut_points, boundary_jump_array, tn_boundary_array,
-                      tn_offcut_array, tn_pv_array)
+from .moments import _cut_points, _offcut_points, boundary_jump_array, tn_offcut_array, tn_pv_array
 from .params import (GasParams, on_cut, require_finite, require_real, rho_of_c, side_sign,
                      velocity_map)
 from .quadrature import QuadratureScheme
@@ -83,16 +83,16 @@ def _cofactors(matrix: np.ndarray, c) -> np.ndarray:
     """Replaced-column determinants: column k of ``matrix`` -> (1, C, C**2).
 
     Vectorized: ``matrix`` has shape (3, 3) + tail and ``c`` shape tail;
-    the result has shape (3,) + tail.
+    the result has shape (3,) + tail.  Each is :func:`_det3` of the replaced
+    matrix term for term, with the minors it shares formed once and no copy.
     """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = matrix
     c = np.asarray(c, dtype=float)
-    col = np.stack([np.ones_like(c), c, c * c])
-    out = np.empty((3,) + c.shape, dtype=matrix.dtype)
-    for k in range(3):
-        m = matrix.copy()
-        m[:, k] = col
-        out[k] = _det3(m)
-    return out
+    c2 = c * c
+    p, r = c * m22 - m12 * c2, m10 * c2 - c * m20
+    return np.stack([(m11 * m22 - m12 * m21) - m01 * p + m02 * (c * m21 - m11 * c2),
+                     m00 * p - (m10 * m22 - m12 * m20) + m02 * r,
+                     m00 * (m11 * c2 - c * m21) - m01 * r + (m10 * m21 - m11 * m20)])
 
 
 def _q_tilde(params: GasParams, cof, c_mu):
@@ -107,15 +107,42 @@ def _q_tilde(params: GasParams, cof, c_mu):
     )
 
 
-def _det_by_slices(params: GasParams, dtype, check, tn_array, points, *args):
-    """``_det3(lambda_matrix(params, tn_array(params, p, *args)))`` over ``points``.
+def _eigen_arrays(params: GasParams, x):
+    """PV determinant, PV cofactors, rho and C at cut points ``x``, vectorized."""
+    m = lambda_matrix(params, tn_pv_array(params, x))
+    c = velocity_map(params, x)
+    return _det3(m), _cofactors(m, c), rho_of_c(params, c), c
+
+
+def _lambda_offcut(params: GasParams, z):
+    """lambda off the cut; on the real axis beyond it Im lambda = Im z = +-0."""
+    lam = np.asarray(_det3(lambda_matrix(params, tn_offcut_array(params, z))))
+    np.copyto(lam.imag, np.imag(z), where=np.imag(z) == 0.0)
+    return lam
+
+
+def _lambda_pv(params: GasParams, x):
+    return _det3(lambda_matrix(params, tn_pv_array(params, x)))
+
+
+def _lambda_boundary(params: GasParams, x, sgn: float):
+    """lambda_pv(x) + sgn*i*pi*x*rho*Q~(x, x); the jump is 0 where rho underflows."""
+    x = _cut_points(params, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # C**2 past |x| = 1e154 at a = 0
+        det, cof, rho, c = _eigen_arrays(params, x)
+        jump = np.where(rho > 0.0, math.pi * x * rho * _q_tilde(params, cof, c), 0.0)
+    return np.stack([det, sgn * jump], axis=-1).view(complex)[..., 0]  # signed zeros kept
+
+
+def _det_by_slices(params: GasParams, dtype, check, evaluate, points, *args):
+    """``evaluate(params, p, *args)``, lambda at the points ``p``, over ``points``.
 
     A batch of at most _LAMBDA_SLICE points is passed whole and as given (a
-    0-d point rounds unlike a one-point array); ``tn_array`` checks it.  A
-    larger one is checked whole by ``check``, which raises as ``tn_array``
+    0-d point rounds unlike a one-point array); ``evaluate`` checks it.  A
+    larger one is checked whole by ``check``, which raises as ``evaluate``
     would, then flattened and cut into k = ceil(N/_LAMBDA_SLICE) contiguous
     slices, slice i holding points i*N//k up to (i+1)*N//k; their
-    determinants fill one output of the batch's shape and ``dtype``.
+    values fill one output of the batch's shape and ``dtype``.
 
     The caller starts one helper thread for the call, unless the process
     may run on one CPU only, and joins it before returning.  Both take
@@ -127,7 +154,7 @@ def _det_by_slices(params: GasParams, dtype, check, tn_array, points, *args):
     points = np.asarray(points)
     k = -(-points.size // _LAMBDA_SLICE)
     if k <= 1:
-        return _det3(lambda_matrix(params, tn_array(params, points, *args)))
+        return evaluate(params, points, *args)
     flat, out = check(params, points).reshape(-1), np.empty(points.size, dtype)
     slices = iter(range(k))  # a range iterator hands out each index once, under the GIL
     errors = []
@@ -136,7 +163,7 @@ def _det_by_slices(params: GasParams, dtype, check, tn_array, points, *args):
         try:
             for i in slices:
                 lo, hi = i * flat.size // k, (i + 1) * flat.size // k
-                out[lo:hi] = _det3(lambda_matrix(params, tn_array(params, flat[lo:hi], *args)))
+                out[lo:hi] = evaluate(params, flat[lo:hi], *args)
         except BaseException as exc:  # raised again in the caller, after the join
             errors.append(exc)
             for _ in slices:
@@ -164,25 +191,26 @@ def lambda_fn(params: GasParams, scheme: QuadratureScheme, z):
     (:func:`_det_by_slices`).  Points that are not finite or lie on the cut
     raise as in :func:`~bgkspectral.moments.tn_offcut_array`.
     """
-    det = _det_by_slices(params, complex, _offcut_points, tn_offcut_array, z)
+    det = _det_by_slices(params, complex, _offcut_points, _lambda_offcut, z)
     return complex(det) if det.ndim == 0 else det
 
 
 def lambda_pv(params: GasParams, scheme: QuadratureScheme, x):
-    """lambda at a cut point with all moments taken as principal values.
-
-    Equals (lambda+ + lambda-)/2 exactly (the boundary perturbation of the
-    matrix is rank one, so the even part of the determinant is the PV
-    determinant).
-    """
-    det = _det_by_slices(params, float, _cut_points, tn_pv_array, x)
+    """lambda at cut points with all moments taken as principal values, the
+    mean (lambda+ + lambda-)/2 of the boundary values (:func:`lambda_boundary`)."""
+    det = _det_by_slices(params, float, _cut_points, _lambda_pv, x)
     return float(det) if det.ndim == 0 else det
 
 
 def lambda_boundary(params: GasParams, scheme: QuadratureScheme, x, side: str):
-    """Boundary values lambda(x +- i0) on the cut; vectorized over x."""
-    side_sign(side)  # checked before the points, as tn_boundary_array does
-    det = _det_by_slices(params, complex, _cut_points, tn_boundary_array, x, side)
+    """Boundary values lambda(x +- i0) on the cut; vectorized over x.
+
+    lambda+- = lambda_pv +- i*pi*x*rho*Q~(x, x) from the real PV matrix and its cofactors
+    (DERIVATION_NOTES, "Boundary jump"): lambda- = conj lambda+ and their mean is
+    :func:`lambda_pv`, bit for bit.  :func:`sokhotsky_jump` checks it with complex determinants.
+    """
+    sgn = side_sign(side)  # checked before the points, as tn_boundary_array does
+    det = _det_by_slices(params, complex, _cut_points, _lambda_boundary, x, sgn)
     return complex(det) if det.ndim == 0 else det
 
 

@@ -33,7 +33,8 @@ downward recurrence, with temporaries of O(N) like the near branch's.
 On the cut every argument is real and the kernel stays in float64 (Dawson
 and Ei for Faddeeva and E1), with the bits complex arithmetic would give.
 At a = 0 the C < 0 half-line sits at -Z+, so Phi(-Z) reuses the special
-functions of Phi(Z).  Direct quadrature of the moments serves only as a
+functions of Phi(Z); off the cut only Faddeeva, as the even E1 half of Phi
+cancels between them in every t_n.  Direct quadrature of the moments serves only as a
 test oracle far from the cut (``quadrature_moments`` in ``tests/conftest.py``).
 
 Byte contract: outputs are pinned bit for bit, so a change keeps each
@@ -81,13 +82,14 @@ _HALF_MOMENT_ROWS = tuple(_HALF_MOMENTS[None, :n + 2].astype(complex) for n in r
 # special-function kernel
 # ---------------------------------------------------------------------------
 
-def _phi_pieces(z):
+def _phi_pieces(z, a: float):
     """``full`` and ``half`` of Phi(Z) = int_0^inf exp(-t**2)/(t - Z) dt =
     (full + half)/2, |Z| < _SERIES_RADIUS: the transform over the whole line
     (Faddeeva, or Dawson on the axis), odd in Z, and int_0^inf exp(-u)/(u - s) du
     at s = Z**2, whose exp(-s)*E1(-s) and exp(-s)*Ei(s) stay far from
     overflow at |s| < 64.  Real ``Z`` stays float64 (the principal value);
     ``Z = 0`` is a logarithmic singularity that the moment prefactor removes.
+    At a = 0 off the real axis ``half`` is 0.0: it cancels between Z and -Z.
     """
     if not np.iscomplexobj(z):
         s = z * z
@@ -98,9 +100,9 @@ def _phi_pieces(z):
     if n_up + n_dn < z.size:  # points on the real axis beyond the cut
         full, half = np.empty_like(z), np.empty_like(z)
         off = up | dn
-        full[~off], half[~off] = _phi_pieces(z[~off].real)
+        full[~off], half[~off] = _phi_pieces(z[~off].real, a)
         if n_up + n_dn:
-            full[off], half[off] = _phi_pieces(z[off])
+            full[off], half[off] = _phi_pieces(z[off], a)
         return full, half
     if z.size in (n_up, n_dn):
         full = 1j * math.pi * wofz(z) if n_up else -1j * math.pi * wofz(-z)
@@ -108,6 +110,8 @@ def _phi_pieces(z):
         full = np.empty_like(z)
         full[up] = 1j * math.pi * wofz(z[up])
         full[dn] = -1j * math.pi * wofz(-z[dn])
+    if a == 0.0:
+        return full, 0.0
     ms = -(z * z)
     return full, np.exp(ms) * exp1(ms)
 
@@ -183,7 +187,7 @@ def _cauchy_halflines(a: float, z: np.ndarray, dp, dm):
             near = slice(None) if not n_far else np.flatnonzero(~far)
             zn = zh[near]
             if mirrored is None:
-                full, half = _phi_pieces(zn)
+                full, half = _phi_pieces(zn, a)
                 phi = 0.5 * (full + half)
                 if a == 0.0:
                     mirrored = 0.5 * (half - full)
@@ -259,12 +263,14 @@ def tn_offcut_array(params: GasParams, z) -> np.ndarray:
     a = 0): DomainError if a point is not finite, WrongRegionError if one
     lies on the closed cut (:func:`tn_pv_array` and :func:`tn_boundary_array`
     take those).  Below |z| = 1e-150, where Z**2 would underflow,
-    |t_n| = O(|z| log|z|) is below 1e-147 and t_n is set to 0.
+    |t_n| = O(|z| log|z|) is below 1e-147 and t_n is set to 0.  Real beyond
+    the cut on the real axis, t_n has the sign of Im z on its zero imaginary part.
     """
     z = _offcut_points(params, z)
     tiny = np.abs(z) < 1e-150
     out = _tn_halflines(params.a, np.where(tiny, 1j, z) if np.count_nonzero(tiny) else z)
     out[:, tiny] = 0.0
+    np.copyto(out.imag, z.imag, where=z.imag == 0.0)
     return out
 
 

@@ -25,9 +25,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .dispersion import _cofactors, _det3, _q_tilde, lambda_matrix
-from .moments import tn_pv_array
-from .params import GasParams, mu_of, require_finite, require_real, rho_of_c, velocity_map
+from .dispersion import _eigen_arrays, _q_tilde
+from .params import GasParams, mu_of, require_finite, require_real, velocity_map
 from .quadrature import QuadratureScheme, _sym_sum, integrate_pv, pv_interval
 
 if TYPE_CHECKING:
@@ -86,14 +85,6 @@ class EigenData:
     cofactors: np.ndarray
     rho: float
     c_eta: float
-
-
-def _eigen_arrays(params: GasParams, eta):
-    """PV determinant, PV cofactors, rho and C at cut points ``eta``, vectorized."""
-    eta = require_real("eta", eta)
-    m = lambda_matrix(params, tn_pv_array(params, eta))
-    c = velocity_map(params, eta)
-    return _det3(m), _cofactors(m, c), rho_of_c(params, c), c
 
 
 def eigen_data(params: GasParams, eta: float) -> EigenData:

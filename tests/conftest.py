@@ -83,8 +83,13 @@ SERIES_RADIUS = 8.0
 _SERIES_MOMENTS = np.array([float(gamma((k + 1) / 2)) / 2.0 for k in range(59)])
 
 
-def phi_halfline_oracle(z):
-    """Phi(Z) = int_0^inf exp(-t**2)/(t - Z) dt in complex arithmetic, |Z| < 8."""
+def phi_halfline_oracle(a, z):
+    """Phi(Z) = int_0^inf exp(-t**2)/(t - Z) dt in complex arithmetic, |Z| < 8.
+
+    At a = 0 off the real axis the exponential-integral half, even in Z,
+    is taken as 0, as the kernel does: it enters the half-lines at Z and
+    -Z with opposite signs and cancels in every t_n.
+    """
     z = np.asarray(z, dtype=complex)
     full, half = np.empty_like(z), np.empty_like(z)
     up, dn = z.imag > 0, z.imag < 0
@@ -96,7 +101,7 @@ def phi_halfline_oracle(z):
     axis = z.imag == 0.0
     sr = s[axis].real
     half[axis] = np.where(sr > 0, -np.exp(-sr) * expi(np.maximum(sr, 1e-300)), 0.0)
-    half[~axis] = np.exp(-s[~axis]) * exp1(-s[~axis])
+    half[~axis] = 0.0 if a == 0.0 else np.exp(-s[~axis]) * exp1(-s[~axis])
     return 0.5 * (full + half)
 
 
@@ -127,7 +132,7 @@ def cauchy_halfline_oracle(a, z):
     near = ~far
     if near.any():
         zs = zf[near]
-        phi = phi_halfline_oracle(zs)
+        phi = phi_halfline_oracle(a, zs)
         if real:
             phi = phi.real
         for n in range(5):

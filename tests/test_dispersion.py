@@ -57,7 +57,7 @@ from bgkspectral.spectrum import (
     eigenfunction_regular,
     normalization_check,
 )
-from bgkspectral.params import velocity_map
+from bgkspectral.params import rho_of_c, velocity_map
 
 from conftest import lambda_slices
 
@@ -276,13 +276,16 @@ class TestLambdaFunction:
 
 SLICE = dispersion._LAMBDA_SLICE
 
-#: each evaluator, with the tn_*_array composition it slices
+#: each evaluator, with the per-slice evaluator it slices and the tn_*_array
+#: function whose errors it raises
 EVALUATORS = {
-    "fn": (lambda p, v: lambda_fn(p, None, v), lambda p, v: tn_offcut_array(p, v)),
-    "pv": (lambda p, v: lambda_pv(p, None, v), lambda p, v: tn_pv_array(p, v)),
+    "fn": (lambda p, v: lambda_fn(p, None, v), dispersion._lambda_offcut, tn_offcut_array),
+    "pv": (lambda p, v: lambda_pv(p, None, v), dispersion._lambda_pv, tn_pv_array),
     "plus": (lambda p, v: lambda_boundary(p, None, v, "plus"),
+             lambda p, v: dispersion._lambda_boundary(p, v, 1.0),
              lambda p, v: tn_boundary_array(p, v, "plus")),
     "minus": (lambda p, v: lambda_boundary(p, None, v, "minus"),
+              lambda p, v: dispersion._lambda_boundary(p, v, -1.0),
               lambda p, v: tn_boundary_array(p, v, "minus")),
 }
 
@@ -300,8 +303,8 @@ def _points(p, kind, size, seed=0):
 
 
 def _composition(p, kind, points):
-    """The unsliced evaluation: det of the matrix of the whole batch."""
-    return _det3(lambda_matrix(p, EVALUATORS[kind][1](p, points)))
+    """The unsliced evaluation: the per-slice evaluator on the whole batch."""
+    return EVALUATORS[kind][1](p, points)
 
 
 def _raised(call):
@@ -333,10 +336,13 @@ class TestSlicedEvaluation:
     def test_one_slice_is_the_composition(self, a):
         # a batch of at most one slice keeps the bytes of the unsliced code
         p = make_params(a)
-        for kind, (evaluate, _) in EVALUATORS.items():
+        for kind, (evaluate, _, tn) in EVALUATORS.items():
             for size in (1, 7, SMALL - 1, SMALL):
                 x = _points(p, kind, size)
                 assert evaluate(p, x).tobytes() == _composition(p, kind, x).tobytes(), (kind, size)
+                if kind in ("fn", "pv"):  # the determinant of the t_n matrix, off the real axis
+                    det = _det3(lambda_matrix(p, tn(p, x)))
+                    assert _composition(p, kind, x).tobytes() == det.tobytes(), (kind, size)
 
     @pytest.mark.parametrize("a", [0.0, 1.0, 100.0])
     def test_larger_batches_are_the_composition_per_slice(self, a, monkeypatch):
@@ -410,7 +416,7 @@ class TestSlicedEvaluation:
         p = make_params(a)
         size = 3 * SMALL + 5
         nan, on_cut = float("nan"), 0.5 * min(1.0, p.alpha)
-        for kind, (evaluate, tn) in EVALUATORS.items():
+        for kind, (evaluate, _, tn) in EVALUATORS.items():
             x = _points(p, kind, size)
             bad = {"nan": [(2 * SMALL + 7, nan)], "late nan": [(size - 1, nan)]}
             if kind == "fn":
@@ -702,6 +708,78 @@ class TestSokhotsky:
         assert v.imag == pytest.approx(0.326, abs=1e-3)
 
 
+class TestBoundaryRoute:
+    """lambda+- = lambda_pv +- i*pi*x*rho*Q~(x, x) from one real PV matrix."""
+
+    @pytest.mark.parametrize("a", [0.0, 1e-3, 1.0, 100.0, 1e5])
+    def test_conjugate_and_plemelj_bit_for_bit(self, a):
+        # lambda- = conj lambda+ and (lambda+ + lambda-)/2 = lambda_pv exactly,
+        # for scalars and batches up to past two slices, with x = +-0 and
+        # speeds up to 40, where rho underflows and the jump is exactly 0
+        p = make_params(a)
+        rng = np.random.default_rng(41)
+        c = rng.choice([-1.0, 1.0], 20000) * rng.uniform(0.0, 40.0, 20000)
+        x = c / (1.0 + a * np.abs(c))
+        x[:2] = 0.0, -0.0
+        with np.errstate(under="ignore"):
+            rho = rho_of_c(p, c)
+        assert np.count_nonzero(rho == 0.0) > 1000
+        cases = [(x[i], rho[i]) for i in range(3)]
+        cases += [(x[:n], rho[:n]) for n in (1, 7, SLICE, 20000)]
+        for pts, r in cases:
+            plus, minus = (np.asarray(lambda_boundary(p, None, pts, side))
+                           for side in ("plus", "minus"))
+            pv = np.asarray(lambda_pv(p, None, pts))
+            assert minus.tobytes() == plus.conj().tobytes(), np.size(pts)
+            mean = 0.5 * (plus + minus)
+            assert mean.real.tobytes() == pv.tobytes() and np.all(mean.imag == 0.0), np.size(pts)
+            assert np.all(plus.imag[r == 0.0] == 0.0), np.size(pts)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 1e5])
+    def test_extremes_warn_nothing(self, a):
+        # where rho underflows (|C| > 27.3), at +-alpha(1 - 1e-16), at x = +-0
+        # and at a = 0 out to x = 1e200, where C**2 overflows: finite values,
+        # the real part lambda_pv, the jump exactly 0 where rho is 0
+        p = make_params(a)
+        if a == 0.0:
+            x = np.array([0.0, -0.0, 27.3, -30.0, 1e77, -1e100, 1e200])
+        else:
+            speeds = np.array([27.3, 30.0, 40.0, 1e3, 1e8])
+            x = np.concatenate([[0.0, -0.0, p.alpha * (1.0 - 1e-16), -p.alpha * (1.0 - 1e-16)],
+                                speeds / (1.0 + a * speeds), -speeds / (1.0 + a * speeds)])
+        with np.errstate(over="ignore", under="ignore"):
+            zero_rho = rho_of_c(p, velocity_map(p, x)) == 0.0
+        assert np.count_nonzero(zero_rho) >= 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pts, at in ((x, zero_rho), *zip(x, zero_rho)):
+                pv = np.asarray(lambda_pv(p, None, pts))
+                zero = at | (pts == 0.0)
+                for side in ("plus", "minus"):
+                    v = np.asarray(lambda_boundary(p, None, pts, side))
+                    assert np.all(np.isfinite(v)), (side, pts)
+                    assert v.real.tobytes() == pv.tobytes(), (side, pts)
+                    assert np.all(v.imag[zero] == 0.0), (side, pts)
+                    assert np.all(v.imag[~zero] != 0.0), (side, pts)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_raises_what_tn_boundary_array_raises(self, a):
+        # the points are checked as t_n checks them, scalar or in a batch
+        p = make_params(a)
+        nan, inf = float("nan"), float("inf")
+        bad = [nan, inf, -inf, 0.2 + 0.1j, np.array([0.1, 0.2j]), [0.1, nan], "0.1x"]
+        if a > 0.0:
+            bad += [p.alpha, -p.alpha, 2.0 * p.alpha, [0.1, p.alpha]]
+        for side in ("plus", "minus"):
+            for x in bad:
+                want = _raised(lambda: tn_boundary_array(p, x, side))
+                assert _raised(lambda: lambda_boundary(p, None, x, side)) == want, (side, x)
+            # a zero imaginary part is dropped, as tn_boundary_array drops it
+            for x in (0.3 + 0j, np.array([0.3, -0.2]) + 0j):
+                assert (np.asarray(lambda_boundary(p, None, x, side)).tobytes()
+                        == np.asarray(lambda_boundary(p, None, x.real, side)).tobytes())
+
+
 def _sample_polyline(vertices, total, level=0):
     """All samples of ``level`` (``_polyline_points``), closing vertex appended."""
     pts = _polyline_points(vertices, total, level, 0)
@@ -984,6 +1062,25 @@ class TestLambdaProperties:
         x = c / (1.0 + a * abs(c))
         plus, minus = (lambda_boundary(p, None, x, side) for side in ("plus", "minus"))
         assert abs(lambda_pv(p, None, x) - 0.5 * (plus + minus)) <= 1e-12 * abs(plus), x
-        sj = sokhotsky_jump(p, x)
-        assert sj.lambda_plus == plus
+        sj = sokhotsky_jump(p, x)  # its complex determinants check the rank-one route
+        assert abs(sj.lambda_plus - plus) <= 1e-12 * abs(plus), x
         assert abs(sj.jump - x * sj.claimed_jump) <= 1e-12 * abs(plus), x
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(log_a=st.floats(-8.0, 5.0), log_d=st.floats(-6.0, 3.0),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_real_axis_beyond_the_cut(self, log_a, log_d, sign):
+        # lambda and t_n are real there; their zero imaginary part has the sign
+        # of Im z, so lambda(conj z) = conj lambda(z) holds bit for bit on the axis too
+        p = make_params(10.0 ** log_a)
+        x = sign * p.alpha * (1.0 + 10.0 ** log_d)
+        assume(abs(x) > p.alpha)
+        up, down = complex(x, 0.0), complex(x, -0.0)
+        batch = lambda_fn(p, None, np.array([up, down, 0.5j]))
+        for i, z in enumerate((up, down)):
+            v, t = np.complex128(lambda_fn(p, None, z)), tn_offcut_array(p, z)
+            for got in (v, batch[i], t):
+                assert np.all(got.imag == 0.0), z
+                assert np.all(np.signbit(got.imag) == np.signbit(z.imag)), z
+        assert np.complex128(lambda_fn(p, None, down)).tobytes() == \
+            np.complex128(lambda_fn(p, None, up)).conj().tobytes()

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import warnings
 
@@ -250,16 +251,40 @@ def mpmath_halfline(a, big_z):
     return [k[n] + 2 * a * k[n + 1] + a * a * k[n + 2] for n in range(5)]
 
 
+def _mpmath_tn(a, z):
+    """t0..t4 at ``z`` from the two half-lines, at mpmath's working precision."""
+    a = mp.mpf(a)
+    z = mp.mpc(z) if isinstance(z, complex) else mp.mpf(z)
+    dp, dm = 1 - a * z, 1 + a * z
+    jp, jm = mpmath_halfline(a, z / dp), mpmath_halfline(a, -z / dm)
+    return [z * (jp[n] / dp + (-1) ** (n + 1) * jm[n] / dm) for n in range(5)]
+
+
 def mpmath_moments(a, z):
     """t0..t4 at ``z`` (complex, or real for the principal value), to 40
     digits from the two half-lines; at |Z| = 1e3 the cancellation of the
     recurrence still leaves 28."""
     with mp.workdps(40):
-        a = mp.mpf(a)
-        z = mp.mpc(z) if isinstance(z, complex) else mp.mpf(z)
-        dp, dm = 1 - a * z, 1 + a * z
-        jp, jm = mpmath_halfline(a, z / dp), mpmath_halfline(a, -z / dm)
-        return [complex(z * (jp[n] / dp + (-1) ** (n + 1) * jm[n] / dm)) for n in range(5)]
+        return [complex(t) for t in _mpmath_tn(a, z)]
+
+
+def mpmath_lambda_boundary(p, x, sgn):
+    """lambda(x + sgn*i0) to 40 digits: the PV moments plus the exact jump
+    sgn*i*pi*x*C**n*rho(x), assembled by the rule and its determinant taken
+    at the working precision."""
+    with mp.workdps(40):
+        x, a = mp.mpf(x), mp.mpf(p.a)
+        c = x / (1 - a * abs(x))
+        rho = mp.exp(-c * c) * (1 + a * abs(c)) ** 3
+        t = [tn + sgn * 1j * mp.pi * x * c**n * rho for n, tn in enumerate(_mpmath_tn(p.a, x))]
+        beta, r0, r1, r2 = (mp.mpf(v) for v in (p.beta, p.r0, p.r1, p.r2))
+        m = mp.matrix(3, 3)
+        for row in range(3):
+            m[row, 0] = (r0 + beta**2 * r2) * t[row] - beta * r2 * t[row + 2]
+            m[row, 1] = r1 * t[row + 1]
+            m[row, 2] = r2 * (t[row + 2] - beta * t[row])
+            m[row, row] += 1
+        return complex(mp.det(m))
 
 
 #: points whose half-line arguments Z+ = z/(1 - az), Z- = z/(1 + az) reach
@@ -299,6 +324,76 @@ def test_t4_just_past_s_40_matches_mpmath(a, x):
         assert abs(t4 - ref) <= 1e-9 * abs(ref), z
 
 
+def _det3_rounding(m):
+    """One rounding unit of a 3x3 determinant (stack): eps times the sum of
+    the magnitudes of the six products of its expansion."""
+    m = np.abs(m)
+    return np.finfo(float).eps * sum(m[0, i] * m[1, j] * m[2, k]
+                                     for i, j, k in itertools.permutations(range(3)))
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, 100.0, 1e5])
+def test_boundary_values_match_mpmath(a):
+    # lambda+- = lambda_pv +- i*pi*x*rho*Q~ against 40 digits, at the 12 of
+    # 2000 points where it differs most from the complex determinant of
+    # t_PV +- jump: at each point no farther from mpmath than that direct
+    # route, up to two rounding units of the determinant (over 1000 points
+    # per slope the two traded places by up to 0.97 of one).  Both carry
+    # t_PV's error below |Z| = 8 (ROADMAP item 5), up to 1e-8 at a = 100.
+    p = make_params(a)
+    rng = np.random.default_rng(29)
+    c = rng.choice([-1.0, 1.0], 2000) * rng.uniform(0.0, 12.0, 2000)
+    x = c / (1.0 + a * np.abs(c))
+    for side, sgn in (("plus", 1.0), ("minus", -1.0)):
+        got = lambda_boundary(p, None, x, side)
+        m = lambda_matrix(p, tn_boundary_array(p, x, side))
+        direct, unit = _det3(m), _det3_rounding(m)
+        for i in np.argsort(np.abs(got - direct) / unit)[-12:]:
+            ref = mpmath_lambda_boundary(p, x[i], sgn)
+            assert abs(got[i] - ref) <= abs(direct[i] - ref) + 2.0 * unit[i], (side, x[i])
+            assert abs(got[i] - ref) <= 2e-8 * max(1.0, abs(ref)), (side, x[i])
+
+
+def test_a0_boundary_values_match_closed_form():
+    # against -1/2 - (x**2 - 3/2) lambda_C(x +- i0), in the mixed measure: the
+    # rank-one route's worst error is no larger than the direct route's
+    p = make_params(0.0)
+    x = np.random.default_rng(5).uniform(-6.0, 6.0, 20000)
+    for side in ("plus", "minus"):
+        ref = lambda_a0_boundary(x, side)
+        direct = _det3(lambda_matrix(p, tn_boundary_array(p, x, side)))
+        errs = [np.abs(v - ref) / np.maximum(1.0, np.abs(ref))
+                for v in (lambda_boundary(p, None, x, side), direct)]
+        assert errs[0].max() <= errs[1].max() <= 2e-14, side
+
+
+def test_a0_offcut_moments_no_worse_without_the_half_pieces(monkeypatch):
+    # at a = 0 off the cut the kernel drops e^(-Z**2) E1(-Z**2), which cancels
+    # between the half-lines: against 40 digits over |z| in [1e-3, 1e3] at all
+    # arguments, t_n is no worse than with the pieces formed.  Past |Z| = 8 the
+    # series takes every point and the bytes stay; below it each decade's
+    # worst error stays within twice the other route's (rounding spread; the
+    # ratio read up to 1.5 in bands of a third of a decade), and the overall
+    # worst within 2%.
+    p = make_params(0.0)
+    rng = np.random.default_rng(13)
+    z = 10.0 ** rng.uniform(-3.0, 3.0, 600) * np.exp(1j * rng.uniform(-math.pi, math.pi, 600))
+    got = tn_offcut_array(p, z)
+    pieces = moments._phi_pieces
+    # a nonzero slope only makes _phi_pieces form the half pieces: the route before
+    monkeypatch.setattr(moments, "_phi_pieces", lambda zh, a: pieces(zh, 1.0))
+    kept = tn_offcut_array(p, z)
+    far = np.abs(z) >= _SERIES_RADIUS
+    assert got[:, far].tobytes() == kept[:, far].tobytes()
+    ref = np.array([mpmath_moments(0.0, complex(zi)) for zi in z[~far]]).T
+    err, err_kept = (np.abs(t[:, ~far] - ref) / np.abs(ref) for t in (got, kept))
+    decade = np.floor(np.log10(np.abs(z[~far])))
+    for d in np.unique(decade):
+        at = decade == d
+        assert np.all(err[:, at].max(axis=1) <= 2.0 * err_kept[:, at].max(axis=1)), d
+    assert np.all(err.max(axis=1) <= 1.02 * err_kept.max(axis=1))
+
+
 @pytest.mark.parametrize("size", [1, 7, 1000, 16384, 20000])
 @pytest.mark.parametrize("a", [0.0, 1e-8, 1.0, 100.0, 1e5])
 def test_one_division_matches_per_n_division(a, size):
@@ -309,13 +404,13 @@ def test_one_division_matches_per_n_division(a, size):
     x = rng.uniform(-_SERIES_RADIUS, _SERIES_RADIUS, size)
     z = x * np.exp(1j * rng.uniform(-math.pi, math.pi, size))
     for zs, pv in ((x.astype(complex), True), (z, False)):
-        phi = phi_halfline_oracle(zs)
+        phi = phi_halfline_oracle(a, zs)
         if pv:
             phi = phi.real
         for n, j in enumerate(_cauchy_halfline_poly(a, zs, phi)):
             assert j.tobytes() == cauchy_halfline_poly_oracle(a, n, zs, phi).tobytes(), (pv, n)
     # real Z stays float64 and gives the real part of the complex route
-    phi = phi_halfline_oracle(x).real
+    phi = phi_halfline_oracle(a, x).real
     for n, j in enumerate(_cauchy_halfline_poly(a, x, phi)):
         assert j.dtype == float
         assert j.tobytes() == cauchy_halfline_poly_oracle(a, n, x.astype(complex), phi).real.tobytes()
@@ -440,11 +535,14 @@ def test_scalar_points_match_complex_route(a):
     for z in (2j, -0.0 + 2j, 0.3 - 1e-9j, 9.0 + 1j, -20.0 - 0.5j, 1e-100j):
         z = np.asarray(z)
         assert tn_offcut_array(p, z).tobytes() == tn_halflines_oracle(a, z).tobytes(), z
-    if a > 0.0:  # complex points on the real axis beyond the cut
+    if a > 0.0:  # complex points on the real axis beyond the cut, where t_n is
+        # real and its zero imaginary part takes the sign of Im z
         z = np.array([1.5, -3.0, 1.0001, 50.0, -1e3]) * p.alpha + 0j
-        assert tn_offcut_array(p, z).tobytes() == tn_halflines_oracle(a, z).tobytes()
-        for zi in z:
-            assert tn_offcut_array(p, zi).tobytes() == tn_halflines_oracle(a, np.asarray(zi)).tobytes()
+        for zs in (z, z.conj(), *z, *z.conj()):
+            want = tn_halflines_oracle(a, np.asarray(zs))
+            assert np.all(want.imag == 0.0)
+            want.imag = np.copysign(0.0, np.imag(zs))
+            assert tn_offcut_array(p, zs).tobytes() == want.tobytes(), zs
 
 
 @pytest.mark.parametrize("a", ORACLE_SLOPES)
@@ -585,11 +683,11 @@ def test_lambda_is_one_where_z_squared_underflows(a):
         assert lambda_fn(p, None, z) == 1.0
         assert np.all(tn_offcut_array(p, z) == 0.0)
     # the other points of a batch keep the bytes of the complex route, whose
-    # values at the tiny points are NaN
+    # values at the tiny points are NaN where it forms E1(-Z**2) (a > 0)
     batch = np.concatenate([tiny, [0.5j, 1e-150j, 3.0 - 1e-140j]])
     got = tn_offcut_array(p, batch)
     assert np.all(got[:, :5] == 0.0)
     with np.errstate(all="ignore"):
         want = tn_halflines_oracle(a, batch)
-    assert np.isnan(want[:, :5]).any()
+    assert np.isnan(want[:, :5]).any() == (a > 0.0)
     assert got[:, 5:].tobytes() == want[:, 5:].tobytes()

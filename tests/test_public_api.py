@@ -9,11 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bgkspectral
 from bgkspectral import make_params, moments
-from bgkspectral.dispersion import lambda_fn, lambda_pv
+from bgkspectral.dispersion import lambda_boundary, lambda_fn, lambda_pv
 
 PUBLIC = [
     "DomainError", "EigenData", "EvaluationError", "FM_DECAY_RATE",
@@ -123,8 +124,12 @@ def test_traced_functions_resolve(module, function, points_arg):
 
 def test_special_functions_are_called_through_moments_globals(monkeypatch):
     # the tracer counts the special functions' points by patching them in
-    # the ``moments`` namespace, so the kernel must look every call up there:
-    # one point per half-line (at a = 0 the C < 0 half-line reuses them)
+    # the ``moments`` namespace, so the kernel must look every call up there.
+    # The counts are the kernel's work: on 1000 points below |Z| = 8, one
+    # wofz (off the cut) or dawsn (on it) point and one exp1 or expi point
+    # per half-line.  At a = 0 the C < 0 half-line reuses the C > 0 one's,
+    # and off the cut no exp1 is called: its half of Phi cancels between them.
+    # lambda_boundary costs what lambda_pv does, and forms no complex jump.
     names = _tracer_table("SPECIAL")
     points = dict.fromkeys(names, 0)
     for name in names:
@@ -132,9 +137,31 @@ def test_special_functions_are_called_through_moments_globals(monkeypatch):
             points[_n] += args[0].size
             return _f(*args)
         monkeypatch.setattr(moments, name, counted)
-    for a, per_call in ((1.0, 2), (0.0, 1)):
-        p = make_params(a)
-        lambda_fn(p, None, 0.3 + 0.2j)
-        lambda_pv(p, None, 0.3 * min(1.0, p.alpha))
-        assert points == dict.fromkeys(names, per_call), a
+    complex_route = []
+    for name in ("tn_boundary_array", "boundary_jump_array"):
+        real = getattr(moments, name)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("bgkspectral")
+                    and getattr(module, name, None) is real):
+                monkeypatch.setattr(module, name, lambda *args, _n=name, _f=real:
+                                    complex_route.append(_n) or _f(*args))
+
+    def count(call):
         points.update(dict.fromkeys(names, 0))
+        call()
+        return dict(points)
+
+    rng = np.random.default_rng(1000)
+    x = rng.choice([-1.0, 1.0], 1000) * rng.uniform(0.01, 0.45, 1000)
+    z = x + 1j * rng.choice([-1.0, 1.0], 1000) * rng.uniform(0.01, 0.45, 1000)
+    for a in (0.0, 1.0):
+        p, per_line = make_params(a), 1000 if a == 0.0 else 2000
+        assert count(lambda: lambda_fn(p, None, z)) == {
+            "wofz": per_line, "exp1": 0 if a == 0.0 else per_line, "expi": 0, "dawsn": 0}, a
+        pv = count(lambda: lambda_pv(p, None, x))
+        assert pv == {"wofz": 0, "exp1": 0, "expi": per_line, "dawsn": per_line}, a
+        for side in ("plus", "minus"):
+            assert count(lambda: lambda_boundary(p, None, x, side)) == pv, (a, side)
+        assert count(lambda: lambda_fn(p, None, 0.3 + 0.2j)) == {
+            "wofz": per_line // 1000, "exp1": 0 if a == 0.0 else 2, "expi": 0, "dawsn": 0}, a
+    assert complex_route == []
