@@ -22,7 +22,7 @@ import csv
 import json
 import math
 import sys
-from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .limits import (
     fm_basis,
     fm_general_solution,
     fm_kernel,
-    fm_project_system,
     fm_projection_inner,
     fm_residual,
     lambda_a0,
@@ -79,17 +78,13 @@ def _finite(text):
     return value
 
 
-def _fmt(v) -> str:
-    return f"{v:.12g}"
-
-
 def _write_csv(path, header, rows):
     out = open(path, "w", newline="") if path else sys.stdout
     try:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(header)
         for row in rows:
-            w.writerow([x if isinstance(x, str) else _fmt(x) for x in row])
+            w.writerow([x if isinstance(x, str) else f"{x:.12g}" for x in row])
     finally:
         if path:
             out.close()
@@ -115,6 +110,16 @@ def _add_common(p):
     _add_out(p)
 
 
+def _write_rows(args, header, rows, csv_tail, **fields):
+    """Write a table command's rows as CSV, or as JSON beside ``fields``;
+    the ``csv_tail`` rows end the CSV only (JSON holds them in ``fields``)."""
+    if args.format == "json":
+        _write_json(args.out, {"command": args.command, **fields,
+                               "rows": [dict(zip(header, map(float, r))) for r in rows]})
+    else:
+        _write_csv(args.out, header, rows + csv_tail)
+
+
 def cmd_dispersion_curve(args) -> int:
     params = make_params(args.a)
     xmin = args.x_min if args.x_min is not None else max(-DEFAULT_XLIM,
@@ -130,138 +135,131 @@ def cmd_dispersion_curve(args) -> int:
     x = np.linspace(xmin, xmax, args.points)
     vals = lambda_boundary(params, scheme, x, "plus")
     rows = [(xi, v.real, v.imag) for xi, v in zip(x, np.atleast_1d(vals))]
-    header = ("x", "re_lambda_plus", "im_lambda_plus")
-    if args.format == "json":
-        _write_json(args.out, {
-            "command": args.command,
-            "config": {"a": args.a, "nodes": scheme.n, "points": args.points,
-                       "x_min": xmin, "x_max": xmax},
-            "rows": [dict(zip(header, map(float, r))) for r in rows],
-        })
-    else:
-        _write_csv(args.out, header, rows)
+    _write_rows(args, ("x", "re_lambda_plus", "im_lambda_plus"), rows, [],
+                config={"a": args.a, "nodes": scheme.n, "points": args.points,
+                        "x_min": xmin, "x_max": xmax})
     return 0
 
 
+def _entry(name, value, tol, **extra):
+    """A report entry that passes when ``|value| <= tol``."""
+    return {"check": name, "status": "pass" if abs(value) <= tol else "fail",
+            "value": float(value), "tolerance": tol, **extra}
+
+
+def _info(name, value, **extra):
+    """A report entry that records a value without a verdict."""
+    return {"check": name, "status": "info", "value": value, "tolerance": 0.0, **extra}
+
+
+def _conservation(params, scheme):
+    """Closure identities of the collision rule."""
+    m0 = integrate_weighted(scheme, lambda c: np.ones_like(c))
+    m2 = integrate_weighted(scheme, lambda c: c * c)
+    e2 = integrate_weighted(scheme, lambda c: (c * c - params.beta) ** 2)
+    orth = integrate_weighted(scheme, lambda c: c * c - params.beta)
+    yield _entry("conservation_number", params.r0 * m0 - 1.0, 1e-10)
+    yield _entry("conservation_momentum", params.r1 * m2 - 1.0, 1e-10)
+    yield _entry("conservation_energy", params.r2 * e2 - 1.0, 1e-10)
+    yield _entry("orthogonality_energy", orth / m0, 1e-10)
+
+
+def _discrete_residual(params, scheme):
+    """Residual of the four discrete solutions in the kinetic equation."""
+    for k in range(4):
+        res = max(residual_2_4(params, scheme, partial(discrete_solution, params, k), x,
+                               dh_dx=partial(discrete_solution_dx, params, k))
+                  for x in (0.0, 0.7, 2.0))
+        yield _entry(f"discrete_residual_h{k}", res, 1e-8)
+
+
+def _normalization_consistency(params, scheme):
+    """Normalization of the continuum eigenfunctions on a small eta sample."""
+    etas = np.linspace(-0.8, 0.8, 5) * min(params.alpha, 2.0) / 2.0 if params.a > 0 else \
+        np.linspace(-1.2, 1.2, 5)
+    etas = etas[np.abs(etas) > 1e-3 * min(params.alpha, 1.0)]
+    dev = max(float(np.max(normalization_check(params, scheme, e))) for e in etas)
+    yield _entry("normalization_consistency", dev, 1e-6)
+
+
+def _zero_count(params, scheme):
+    """Argument-principle counts of the zeros off the cut (none expected)."""
+    if params.a == 0.0:
+        yield _entry("zero_count_semicircle", count_zeros(params, semicircle_contour()), 0.5)
+        return
+    for i, (hw, hh) in enumerate(((3.0, 2.0), (5.0, 3.0), (8.0, 5.0)), 1):
+        cont = keyhole_contour(params, max(hw, params.alpha + 0.5), hh)
+        yield _entry(f"zero_count_keyhole_{i}", count_zeros(params, cont), 0.5)
+
+
+def _laurent_order(params, scheme):
+    """Order (4) and leading coefficient of the zero of lambda at infinity."""
+    order, coeff = laurent_order_at_infinity(params)
+    yield _entry("laurent_order", order - 4, 0.5, coefficient=[coeff.real, coeff.imag])
+    if params.a == 0.0:
+        yield _entry("laurent_coefficient_a0", coeff.real - 0.75, 1e-4)
+
+
+def _sokhotsky_jump(params, scheme):
+    """Measured jump of lambda across the cut against mu times the claimed one."""
+    scale = min(params.alpha, 1.0)
+    worst = 0.0
+    for x in (round(0.3 * scale, 6), round(0.65 * scale, 6)):
+        sj = sokhotsky_jump(params, x)
+        worst = max(worst, abs(sj.jump - x * sj.claimed_jump))
+        yield _info(f"sokhotsky_ratio_x_{x}", float(sj.ratio.real),
+                    note="measured jump / claimed jump; equals x (claim lacks the factor mu)")
+    yield _entry("sokhotsky_jump_vs_mu_times_claim", worst, 1e-8)
+
+
+def _closed_form_agreement_a0(params, scheme):
+    """lambda against its closed form at a = 0; no entry at a > 0."""
+    if params.a != 0.0:
+        return
+    rng = np.random.default_rng(2024)
+    zz = rng.uniform(-4, 4, 20) + 1j * np.sign(rng.standard_normal(20)) * \
+        10 ** rng.uniform(-2, 1, 20)
+    want = lambda_a0(zz)
+    dev = float(np.max(np.abs(lambda_fn(params, scheme, zz) - want) / np.abs(want)))
+    yield _entry("closed_form_agreement_a0", dev, 1e-8)
+
+
+def _free_molecular(params, scheme):
+    """The projected free-molecular system (slope-independent)."""
+    cq, wq = _fm_quad()
+    bp, bm = fm_basis(cq), fm_basis(-cq)
+    gram_dev = max(abs(np.sum(wq * (bp[i] * bp[j] + bm[i] * bm[j])) - fm_projection_inner(i, j))
+                   for i in range(6) for j in range(6))
+    yield _entry("fm_projection_identity", gram_dev, 1e-12)
+    res = max(fm_residual(FreeMolecularSolution(**{k: 1.0}), 0.7)
+              for k in ("A0", "A1", "A2", "A3", "At1", "At3"))
+    yield _entry("fm_mode_residual_max", res, 1e-8)
+    yield _info("fm_decay_rate", FM_DECAY_RATE,
+                literature_value=FM_DECAY_RATE_QUOTED,
+                discrepancy=FM_DECAY_RATE_QUOTED - FM_DECAY_RATE,
+                note="derived rate sqrt(5*pi)/4; quoted rate sqrt(3*pi)/2 fails the residual check (see DERIVATION_NOTES.md)")
+
+
+#: the check groups of spectrum-verify in report order, each a generator of
+#: report entries; a group's name without the underscore names its error entry
+_CHECKS = (_conservation, _discrete_residual, _normalization_consistency, _zero_count,
+           _laurent_order, _sokhotsky_jump, _closed_form_agreement_a0, _free_molecular)
+
+
 def _checks_for(params, scheme):
-    """The invariant suite behind spectrum-verify; yields check dicts.
+    """The report entries of every group of ``_CHECKS``, in order.
 
-    Each check group runs under ``guard``: an exception inside a group adds
-    one ``error`` entry named after it, and the suite goes on.
+    A group that raises keeps the entries it yielded before the exception,
+    and adds one ``error`` entry named after it; the later groups still run.
     """
-    a = params.a
     checks = []
-
-    def add(name, value, tol, ok=None, **extra):
-        status = "pass" if (ok if ok is not None else abs(value) <= tol) else "fail"
-        entry = {"check": name, "status": status, "value": float(value),
-                 "tolerance": tol}
-        entry.update(extra)
-        checks.append(entry)
-
-    @contextmanager
-    def guard(name):
+    for group in _CHECKS:
         try:
-            yield
+            checks.extend(group(params, scheme))
         except Exception as exc:  # reported as an entry; the other groups still run
-            checks.append({"check": name, "status": "error",
+            checks.append({"check": group.__name__[1:], "status": "error",
                            "value": float("nan"), "tolerance": 0.0,
                            "message": str(exc)})
-
-    with guard("conservation"):  # closure identities
-        m0 = integrate_weighted(scheme, lambda c: np.ones_like(c))
-        m2 = integrate_weighted(scheme, lambda c: c * c)
-        e2 = integrate_weighted(scheme, lambda c: (c * c - params.beta) ** 2)
-        orth = integrate_weighted(scheme, lambda c: c * c - params.beta)
-        add("conservation_number", params.r0 * m0 - 1.0, 1e-10)
-        add("conservation_momentum", params.r1 * m2 - 1.0, 1e-10)
-        add("conservation_energy", params.r2 * e2 - 1.0, 1e-10)
-        add("orthogonality_energy", orth / m0, 1e-10)
-
-    with guard("discrete_residual"):
-        for k in range(4):
-            res = max(
-                residual_2_4(
-                    params, scheme,
-                    lambda xx, mm, k=k: discrete_solution(params, k, xx, mm),
-                    x,
-                    dh_dx=lambda xx, mm, k=k: discrete_solution_dx(params, k, xx, mm),
-                )
-                for x in (0.0, 0.7, 2.0)
-            )
-            add(f"discrete_residual_h{k}", res, 1e-8)
-
-    with guard("normalization_consistency"):  # on a small eta sample
-        etas = np.linspace(-0.8, 0.8, 5) * min(params.alpha, 2.0) / 2.0 if a > 0 else \
-            np.linspace(-1.2, 1.2, 5)
-        etas = etas[np.abs(etas) > 1e-3 * min(params.alpha, 1.0)]
-        dev = max(float(np.max(normalization_check(params, scheme, e))) for e in etas)
-        add("normalization_consistency", dev, 1e-6)
-
-    with guard("zero_count"):  # argument-principle zero counts
-        if a == 0.0:
-            w = count_zeros(params, semicircle_contour())
-            add("zero_count_semicircle", w, 0.5, ok=(w == 0))
-        else:
-            for i, (hw, hh) in enumerate(((3.0, 2.0), (5.0, 3.0), (8.0, 5.0)), 1):
-                hw_eff = max(hw, params.alpha + 0.5)
-                cont = keyhole_contour(params, hw_eff, hh)
-                w = count_zeros(params, cont)
-                add(f"zero_count_keyhole_{i}", w, 0.5, ok=(w == 0))
-
-    with guard("laurent_order"):  # at infinity
-        order, coeff = laurent_order_at_infinity(params)
-        add("laurent_order", order - 4, 0.5, ok=(order == 4),
-            coefficient=[coeff.real, coeff.imag])
-        if a == 0.0:
-            add("laurent_coefficient_a0", coeff.real - 0.75, 1e-4)
-
-    with guard("sokhotsky_jump"):  # measured vs mu * claimed
-        scale = min(params.alpha, 1.0)
-        xs = [round(0.3 * scale, 6), round(0.65 * scale, 6)]
-        worst = 0.0
-        for x in xs:
-            sj = sokhotsky_jump(params, x)
-            worst = max(worst, abs(sj.jump - x * sj.claimed_jump))
-            checks.append({
-                "check": f"sokhotsky_ratio_x_{x}", "status": "info",
-                "value": float(sj.ratio.real), "tolerance": 0.0,
-                "note": "measured jump / claimed jump; equals x (claim lacks the factor mu)",
-            })
-        add("sokhotsky_jump_vs_mu_times_claim", worst, 1e-8)
-
-    if a == 0.0:
-        with guard("closed_form_agreement_a0"):
-            rng = np.random.default_rng(2024)
-            zz = rng.uniform(-4, 4, 20) + 1j * np.sign(rng.standard_normal(20)) * \
-                10 ** rng.uniform(-2, 1, 20)
-            dev = float(np.max(np.abs(
-                lambda_fn(params, scheme, zz) - lambda_a0(zz)
-            ) / np.abs(lambda_a0(zz))))
-            add("closed_form_agreement_a0", dev, 1e-8)
-
-    with guard("free_molecular"):  # projected system (slope-independent)
-        fm_project_system()
-        cq, wq = _fm_quad()
-        gram_dev = 0.0
-        bp, bm = fm_basis(cq), fm_basis(-cq)
-        for i in range(6):
-            for j in range(6):
-                num = np.sum(wq * (bp[i] * bp[j] + bm[i] * bm[j]))
-                gram_dev = max(gram_dev, abs(num - fm_projection_inner(i, j)))
-        add("fm_projection_identity", gram_dev, 1e-12)
-        res = max(
-            fm_residual(FreeMolecularSolution(**{k: 1.0}), 0.7)
-            for k in ("A0", "A1", "A2", "A3", "At1", "At3")
-        )
-        add("fm_mode_residual_max", res, 1e-8)
-        checks.append({
-            "check": "fm_decay_rate", "status": "info",
-            "value": FM_DECAY_RATE, "tolerance": 0.0,
-            "literature_value": FM_DECAY_RATE_QUOTED,
-            "discrepancy": FM_DECAY_RATE_QUOTED - FM_DECAY_RATE,
-            "note": "derived rate sqrt(5*pi)/4; quoted rate sqrt(3*pi)/2 fails the residual check (see DERIVATION_NOTES.md)",
-        })
     return checks
 
 
@@ -269,8 +267,6 @@ def cmd_spectrum_verify(args) -> int:
     params = make_params(args.a)
     scheme = make_scheme(params)
     checks = _checks_for(params, scheme)
-    failed = [c for c in checks if c["status"] == "fail"]
-    errored = [c for c in checks if c["status"] == "error"]
     payload = {
         "command": args.command,
         "version": __version__,
@@ -278,7 +274,7 @@ def cmd_spectrum_verify(args) -> int:
                    "defaults": {"nodes": scheme.n, "points": DEFAULT_POINTS,
                                 "x_grid": [-DEFAULT_XLIM, DEFAULT_XLIM]}},
         "checks": checks,
-        "status": "pass" if not failed and not errored else "fail",
+        "status": "fail" if any(c["status"] in ("fail", "error") for c in checks) else "pass",
     }
     _write_json(args.out, payload)
     return 0 if payload["status"] == "pass" else 1
@@ -296,14 +292,7 @@ def cmd_limits_compare(args) -> int:
         target = np.abs(cp) * fm_kernel(c, cp)
         got = (1.0 + a * np.abs(cp)) * kernel_q_c(params, c, cp)
         rows.append((a, lam_dev, float(np.max(np.abs(got - target) / np.abs(target)))))
-    header = ("a", "lambda_a0_deviation", "fm_kernel_deviation")
-    if args.format == "json":
-        _write_json(args.out, {
-            "command": args.command,
-            "rows": [dict(zip(header, map(float, r))) for r in rows],
-        })
-    else:
-        _write_csv(args.out, header, rows)
+    _write_rows(args, ("a", "lambda_a0_deviation", "fm_kernel_deviation"), rows, [])
     return 0
 
 
@@ -318,19 +307,10 @@ def cmd_fm_solve(args) -> int:
         h = fm_general_solution(sol, xi, c)
         rows.extend((xi, ci, hi) for ci, hi in zip(c, np.atleast_1d(h)))
     res = max(fm_residual(sol, xi) for xi in x)
-    header = ("x", "C", "h")
-    if args.format == "json":
-        _write_json(args.out, {
-            "command": args.command,
-            "config": {k: v for k, v in vars(args).items()
-                       if k not in ("func", "out", "format")},
-            "decay_rate": FM_DECAY_RATE,
-            "rows": [dict(zip(header, map(float, r))) for r in rows],
-            "residual_sup": res,
-        })
-    else:
-        rows.append(("residual_sup", "", res))
-        _write_csv(args.out, header, rows)
+    _write_rows(args, ("x", "C", "h"), rows, [("residual_sup", "", res)],
+                config={k: v for k, v in vars(args).items()
+                        if k not in ("func", "out", "format")},
+                decay_rate=FM_DECAY_RATE, residual_sup=res)
     return 0
 
 

@@ -81,7 +81,12 @@ def lambda_c_boundary(x, side: str):
 
 
 def lambda_a0(z):
-    """Constant-frequency dispersion function -1/2 - (z**2 - 3/2) lambda_C(z)."""
+    """Constant-frequency dispersion function -1/2 - (z**2 - 3/2) lambda_C(z).
+
+    The two terms cancel to O(z**-4), so as an oracle it holds near the origin
+    only.  Against 50-digit mpmath, 0.05 rad or more off the axis, its relative
+    error reached 1.4e-14 at |z| = 1, 2.1e-11 at 4, 4.4e-9 at 8, 3.8e-8 at 20
+    and 1.1e-5 at 50; ``lambda_fn`` at a = 0 reached 5.1e-13 at 20."""
     z = np.asarray(z, dtype=complex)
     v = -0.5 - (z * z - 1.5) * lambda_c(z)
     return complex(v) if v.ndim == 0 else v

@@ -1,5 +1,6 @@
 import ast
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import bgkspectral
-from bgkspectral import cli, dispersion, moments
+from bgkspectral import cli, dispersion, make_params, make_scheme, moments
 from bgkspectral.cli import main
 
 SQPI = math.sqrt(math.pi)
@@ -133,7 +134,7 @@ class TestSpectrumVerify:
 
     #: normalization_consistency where its eta sample, filtered at 1e-3
     #: instead of 1e-3 * min(alpha, 1), was empty; the growth from a ~ 120
-    #: fails it at 1e3 (ROADMAP item 1)
+    #: fails it at 1e3 (ROADMAP item 9)
     NORMALIZATION = {"1e3": ("fail", 3.95e-6), "1e5": ("pass", 5.61e-9)}
 
     @pytest.mark.parametrize("a", ["1e3", "1e5"])
@@ -160,6 +161,34 @@ class TestSpectrumVerify:
         assert entry["message"] == "max() arg is an empty sequence"
         assert {"conservation_number", "laurent_order",
                 "fm_mode_residual_max"} <= {c["check"] for c in rep["checks"]}
+
+    @pytest.mark.parametrize("a", ["0", "1"])
+    @pytest.mark.parametrize("index", range(len(cli._CHECKS)),
+                             ids=lambda i: cli._CHECKS[i].__name__[1:])
+    def test_group_that_raises_keeps_its_entries(self, capsys, monkeypatch, a, index):
+        # a group that raises after its entries keeps them and adds one error
+        # entry named after it; the groups before and after it are unchanged
+        params = make_params(float(a))
+        scheme = make_scheme(params)
+        entries = [list(group(params, scheme)) for group in cli._CHECKS]
+        group = cli._CHECKS[index]
+        message = f"synthetic failure after {group.__name__}"
+
+        @functools.wraps(group)
+        def raising(params, scheme):
+            yield from group(params, scheme)
+            raise RuntimeError(message)
+
+        monkeypatch.setattr(cli, "_CHECKS", cli._CHECKS[:index] + (raising,)
+                            + cli._CHECKS[index + 1:])
+        code, out, _ = run_cli(capsys, "spectrum-verify", "--a", a)
+        error = {"check": group.__name__[1:], "status": "error", "value": float("nan"),
+                 "tolerance": 0.0, "message": message}
+        want = [e for g in entries[:index + 1] for e in g] + [error] + \
+            [e for g in entries[index + 1:] for e in g]
+        assert code == 1
+        assert (json.dumps(json.loads(out)["checks"], sort_keys=True)
+                == json.dumps(want, sort_keys=True))
 
     # the zero_count* entries (value, or message of an error entry) of the
     # report before the zero count refined its samples in place and
@@ -402,6 +431,26 @@ def test_readme_output_golden(command, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == README_DIGESTS[command]
 
 
+#: sha256 of the README's three table commands with ``--format json``; the
+#: table above pins their CSV bytes, this one the JSON writer's
+README_JSON_DIGESTS = {
+    "dispersion-curve --a 0 --x-min -4 --x-max 4 --points 401":
+        "646e3056604e2bf8683d661b95efae338cc49f172cc4c4ecf536575fae226e51",
+    "limits-compare --a-list 0 1e-6 1e-3 0.1 1 10 1000":
+        "b899e5c6cd97ac5191de803b3a333268440723d3286c36af6eb2ab850f687172",
+    "fm-solve --A0 1 --At1 0.5 --x-min 0 --x-max 2":
+        "772682c7d83de85206de46320b69a22591ba3a91db4bc88564eecc03f37331bf",
+}
+
+
+@pytest.mark.parametrize("command", list(README_JSON_DIGESTS),
+                         ids=lambda c: c.split()[0])
+def test_readme_table_json_golden(command, tmp_path):
+    path = tmp_path / "out.json"
+    assert main(command.split() + ["--format", "json", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == README_JSON_DIGESTS[command]
+
+
 def test_readme_outputs_reach_the_series_only_through_zero_counts(tmp_path, monkeypatch):
     # the far-field moment series shows in the README outputs only through
     # the integer zero counts, so a change to its last bits moves no README
@@ -435,7 +484,7 @@ def test_readme_digests_match_benchmark_table():
 
 
 #: sha256 of ``spectrum-verify --a A --out PATH`` at the benchmark's slopes,
-#: exit codes included (1 where a check fails, see ROADMAP items 2 and 4).
+#: exit codes included (1 where a check fails, see ROADMAP items 1, 3 and 9).
 #: Speed-ups must leave these bytes alone; a fix that moves a report re-pins
 #: its digest with a stated reason.
 VERIFY_DIGESTS = {

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import erfc
@@ -108,6 +109,24 @@ class TestConstantFrequencyDispersion:
         z = 60j
         want = 0.75 + (15.0 / 4.0) / (z * z).real
         assert (z**4 * lambda_a0(z)).real == pytest.approx(want, abs=1e-5)
+
+    def test_matches_mpmath_near_the_origin(self):
+        # the bound of lambda_a0's docstring: its two terms cancel to
+        # O(z**-4), so it is an oracle near the origin only
+        def exact(z):
+            if z.imag < 0:
+                return exact(z.conjugate()).conjugate()
+            with mp.workdps(50):
+                z = mp.mpc(z)
+                lam_c = 1 + 1j * mp.sqrt(mp.pi) * z * mp.exp(-z * z) * mp.erfc(-1j * z)
+                return complex(-mp.mpf(1) / 2 - (z * z - mp.mpf(3) / 2) * lam_c)
+
+        rng = np.random.default_rng(84)
+        for radius, bound in ((1.0, 1e-10), (2.0, 1e-10), (4.0, 1e-10), (20.0, 3.8e-8)):
+            z = radius * np.exp(1j * rng.uniform(0.05, math.pi - 0.05, 50))
+            z = np.where(rng.random(50) < 0.5, z, z.conj())  # both half-planes
+            want = np.array([exact(zi) for zi in z])
+            assert np.max(np.abs(lambda_a0(z) - want) / np.abs(want)) <= bound, radius
 
     def test_cross_module_agreement(self, model):
         # the general machinery at a = 0 agrees with the closed form
