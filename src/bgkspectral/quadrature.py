@@ -15,6 +15,12 @@ image of the integrand value at the pole is removed, the remainder is
 integrated as an ordinary weighted integral, and the subtracted part is
 restored through the analytically known Hilbert transform of the
 Gaussian (Dawson function).
+
+The two Gauss-Legendre rules the package uses, 16 and 20 nodes on
+[-1, 1], are literal tables copied from ``scipy.special.roots_legendre``
+and tested against it bit for bit.  Building them at run time would load
+all of ``scipy.linalg`` for an eigen-solve (Golub-Welsch) in every
+process that makes a rule.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import dawsn, roots_legendre
+from scipy.special import dawsn
 
 from .errors import DomainError, EvaluationError
 from .params import GasParams, mu_of, require_finite, require_real, velocity_map
@@ -31,6 +37,29 @@ from .params import GasParams, mu_of, require_finite, require_real, velocity_map
 _PANEL_EDGES = (0.0, 0.6, 1.2, 1.8, 2.4, 3.0, 3.6, 4.4, 5.4, 6.8, 8.6)
 #: Gauss-Legendre nodes on each panel: 200 nodes per half-line
 _NODES_PER_PANEL = 20
+
+
+#: Gauss-Legendre rules on [-1, 1] by node count, as the nonnegative nodes
+#: and their weights of ``scipy.special.roots_legendre``; scipy makes the
+#: rules symmetric, so mirroring gives its whole rule bit for bit
+_LEGENDRE_HALF = {
+    16: ((0.09501250983763745, 0.2816035507792589, 0.4580167776572274,
+          0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+          0.9445750230732326, 0.9894009349916499),
+         (0.1894506104550681, 0.18260341504492328, 0.16915651939500212,
+          0.14959598881657638, 0.12462897125553363, 0.09515851168249231,
+          0.06225352393864763, 0.027152459411756466)),
+    20: ((0.0765265211334973, 0.22778585114164504, 0.37370608871541955,
+          0.510867001950827, 0.6360536807265149, 0.7463319064601508,
+          0.8391169718222189, 0.912234428251326, 0.9639719272779137,
+          0.9931285991850949),
+         (0.1527533871307256, 0.1491729864726036, 0.14209610931838176,
+          0.13168863844917644, 0.11819453196151841, 0.10193011981724026,
+          0.08327674157670427, 0.06267204833410933, 0.04060142980038748,
+          0.017614007139152687)),
+}
+_LEGENDRE = {n: (np.concatenate([-np.array(x[::-1]), x]), np.array(w[::-1] + w))
+             for n, (x, w) in _LEGENDRE_HALF.items()}
 
 
 @dataclass(frozen=True)
@@ -63,9 +92,9 @@ class QuadratureScheme:
 
 def _legendre_panels(edges, n_per: int):
     """Gauss-Legendre nodes/weights with ``n_per`` nodes on each panel between
-    consecutive ``edges``."""
+    consecutive ``edges``; ``n_per`` is 16 or 20, the rules of ``_LEGENDRE``."""
     edges = np.asarray(edges, dtype=float)
-    x01, w01 = roots_legendre(n_per)
+    x01, w01 = _LEGENDRE[n_per]
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = edges[:-1, None] + half[:, None] * (x01 + 1.0)
     return nodes.ravel(), (half[:, None] * w01).ravel()
@@ -165,7 +194,8 @@ def integrate_pv(scheme: QuadratureScheme, f, pole: float):
 
 
 def gauss_panels(lo: float, hi: float, breakpoints, n_panels: int, n_per: int):
-    """Gauss-Legendre nodes/weights on [lo, hi] split at the breakpoints."""
+    """Gauss-Legendre nodes/weights on [lo, hi] split at the breakpoints,
+    ``n_per`` (16 or 20) on each panel."""
     pts = [lo, hi] + [b for b in breakpoints if lo < b < hi]
     pts = np.unique(np.asarray(pts, dtype=float))
     total = hi - lo

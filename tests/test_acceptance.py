@@ -35,9 +35,9 @@ from bgkspectral import (
 from bgkspectral import lambda_a0
 from bgkspectral.limits import fm_basis, fm_projection_inner
 from bgkspectral.moments import boundary_jump_array
-from bgkspectral.quadrature import gauss_panels, integrate_weighted
+from bgkspectral.quadrature import integrate_weighted
 
-from conftest import lambda_c_stable, smooth_bump
+from conftest import halfline_rule_24, lambda_c_stable, smooth_bump
 
 SQPI = math.sqrt(math.pi)
 A_FULL = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)
@@ -198,7 +198,7 @@ def test_criterion_09_figure_reproduction(capsys):
 
 
 def test_criterion_10_free_molecular():
-    nodes, wts = gauss_panels(0.0, 8.6, (), 12, 24)
+    nodes, wts = halfline_rule_24()
     w = wts * np.exp(-nodes * nodes) * nodes
     bp, bm = fm_basis(nodes), fm_basis(-nodes)
     proj_dev = 0.0

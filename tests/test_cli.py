@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -189,6 +190,31 @@ class TestSpectrumVerify:
         assert code == 1
         assert (json.dumps(json.loads(out)["checks"], sort_keys=True)
                 == json.dumps(want, sort_keys=True))
+
+    @pytest.mark.parametrize("name, check, nan_of", [
+        ("sokhotsky_jump", "sokhotsky_jump_vs_mu_times_claim",
+         lambda sj: dataclasses.replace(sj, jump=complex("nan"))),
+        ("normalization_check", "normalization_consistency",
+         lambda dev: np.full_like(dev, np.nan)),
+        ("fm_residual", "fm_mode_residual_max", lambda res: math.nan),
+    ], ids=["sokhotsky_jump", "normalization_check", "fm_residual"])
+    def test_nan_past_the_first_value_fails(self, capsys, monkeypatch, name, check, nan_of):
+        # a NaN from the second cut point, eta or mode is the group's maximum,
+        # and the entry fails instead of reporting the finite values' maximum
+        calls = []
+        fn = getattr(cli, name)
+
+        def patched(*args):
+            calls.append(args)
+            out = fn(*args)
+            return nan_of(out) if len(calls) == 2 else out
+
+        monkeypatch.setattr(cli, name, patched)
+        code, out, _ = run_cli(capsys, "spectrum-verify", "--a", "1")
+        rep = json.loads(out)
+        assert code == 1 and rep["status"] == "fail"
+        assert [c["check"] for c in rep["checks"] if c["status"] not in ("pass", "info")] == [check]
+        assert math.isnan(next(c["value"] for c in rep["checks"] if c["check"] == check))
 
     # the zero_count* entries (value, or message of an error entry) of the
     # report before the zero count refined its samples in place and

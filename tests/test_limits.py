@@ -33,7 +33,7 @@ from bgkspectral.limits import (
 )
 from bgkspectral.quadrature import gauss_panels
 
-from conftest import lambda_c_stable
+from conftest import halfline_rule_24, lambda_c_stable
 
 SQPI = math.sqrt(math.pi)
 
@@ -201,7 +201,7 @@ class TestProjectedSystem:
 
     def test_projection_integrals_against_quadrature(self):
         # every entry of the defining projection reproduced to 1e-12
-        nodes, wts = gauss_panels(0.0, 8.6, (), 12, 24)
+        nodes, wts = halfline_rule_24()
         w = wts * np.exp(-nodes * nodes) * nodes
         bp, bm = fm_basis(nodes), fm_basis(-nodes)
         for i in range(6):

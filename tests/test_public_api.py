@@ -89,15 +89,35 @@ def test_public_names_are_used_outside_tests():
     assert sorted(set(bgkspectral.__all__) - used) == []
 
 
-def test_import_leaves_interpolation_out():
-    # scipy.interpolate is imported only when a SpectralExpansion is built
-    code = ("import sys, bgkspectral; "
-            "sys.exit('scipy.interpolate' in sys.modules)")
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this package; it
+    exits 0 when its check holds."""
     src = os.path.dirname(bgkspectral.__path__[0])
     done = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_import_leaves_interpolation_out():
+    # scipy.interpolate is imported only when a SpectralExpansion is built
+    _run_fresh("import sys, bgkspectral; "
+               "sys.exit('scipy.interpolate' in sys.modules)")
+
+
+def test_quadrature_rules_leave_linalg_out(tmp_path):
+    # the Gauss-Legendre rules are tables: building a scheme and running the
+    # commands that integrate loads no scipy.linalg (an eigen-solve would)
+    commands = ["spectrum-verify --a 1",
+                "dispersion-curve --a 0 --x-min -4 --x-max 4 --points 401",
+                "fm-solve --A0 1 --At1 0.5 --x-min 0 --x-max 2"]
+    out = str(tmp_path / "out")
+    _run_fresh("import sys\n"
+               "from bgkspectral import cli, make_params, make_scheme\n"
+               "make_scheme(make_params(1.0))\n"
+               f"for command in {commands!r}:\n"
+               f"    assert cli.main(command.split() + ['--out', {out!r}]) == 0, command\n"
+               "sys.exit('scipy.linalg' in sys.modules)")
 
 
 def _tracer_table(name):

@@ -6,6 +6,7 @@ from scipy.special import dawsn, gamma, roots_legendre, sici
 
 from bgkspectral import DomainError, make_params
 from bgkspectral.quadrature import (
+    _LEGENDRE,
     _PANEL_EDGES,
     gauss_panels,
     integrate_pv,
@@ -14,7 +15,7 @@ from bgkspectral.quadrature import (
     pv_interval,
 )
 
-from conftest import adaptive_pv
+from conftest import adaptive_pv, loop_panels
 
 SQPI = math.sqrt(math.pi)
 
@@ -188,19 +189,18 @@ class TestIntervalPV:
         assert pv_interval(lambda e: e - 1.0, 0.0, 1.0, 1.0) == pytest.approx(1.0, rel=1e-13)
 
 
-def loop_panels(edges, n_per):
-    """Reference panel builder: one Gauss-Legendre panel at a time."""
-    x01, w01 = roots_legendre(n_per)
-    nodes, wts = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(lo + half * (x01 + 1.0))
-        wts.append(half * w01)
-    return np.concatenate(nodes), np.concatenate(wts)
-
-
 class TestPanelRules:
-    """The vectorized panel builder does the loop's arithmetic: equal bits."""
+    """The tabulated rules are scipy's, and the vectorized panel builder does
+    the loop's arithmetic: equal bits."""
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_tables_equal_scipy_rules(self, n):
+        # the literal rules are scipy's, bit for bit and sign for sign
+        x, w = _LEGENDRE[n]
+        ref_x, ref_w = roots_legendre(n)
+        assert sorted(_LEGENDRE) == [16, 20]
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        assert np.array_equal(np.signbit(x), np.signbit(ref_x))
 
     def test_scheme_matches_loop(self):
         # the one rule: 20 nodes on each of the ten panels
