@@ -230,7 +230,7 @@ def _free_molecular(params, scheme):
     cq, wq = _fm_quad()
     bp, bm = fm_basis(cq), fm_basis(-cq)
     gram_dev = np.max([abs(np.sum(wq * (bp[i] * bp[j] + bm[i] * bm[j]))
-                           - fm_projection_inner(i, j)) for i in range(6) for j in range(6)])
+                           - fm_projection_inner(i, j, 0)) for i in range(6) for j in range(6)])
     yield _entry("fm_projection_identity", gram_dev, 1e-12)
     res = np.max([fm_residual(FreeMolecularSolution(**{k: 1.0}), 0.7)
                   for k in ("A0", "A1", "A2", "A3", "At1", "At3")])

@@ -45,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationError, IllConditionedContourError
-from .moments import _cut_points, _offcut_points, boundary_jump_array, tn_offcut_array, tn_pv_array
-from .params import (GasParams, on_cut, require_finite, require_real, rho_of_c, side_sign,
+from .moments import _offcut_points, boundary_jump_array, tn_offcut_array, tn_pv_array
+from .params import (GasParams, _inside_cut, on_cut, require_finite, rho_of_c, side_sign,
                      velocity_map)
 from .quadrature import QuadratureScheme
 
@@ -126,23 +126,25 @@ def _lambda_pv(params: GasParams, x):
 
 
 def _lambda_boundary(params: GasParams, x, sgn: float):
-    """lambda_pv(x) + sgn*i*pi*x*rho*Q~(x, x); the jump is 0 where rho underflows."""
-    x = _cut_points(params, x)
+    """lambda_pv(x) + sgn*i*pi*x*rho*Q~(x, x) at float64 cut points ``x``; the
+    jump is 0 where rho underflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # C**2 past |x| = 1e154 at a = 0
         det, cof, rho, c = _eigen_arrays(params, x)
         jump = np.where(rho > 0.0, math.pi * x * rho * _q_tilde(params, cof, c), 0.0)
     return np.stack([det, sgn * jump], axis=-1).view(complex)[..., 0]  # signed zeros kept
 
 
-def _det_by_slices(params: GasParams, dtype, check, evaluate, points, *args):
+def _det_by_slices(params: GasParams, dtype, evaluate, points, *args):
     """``evaluate(params, p, *args)``, lambda at the points ``p``, over ``points``.
 
-    A batch of at most _LAMBDA_SLICE points is passed whole and as given (a
-    0-d point rounds unlike a one-point array); ``evaluate`` checks it.  A
-    larger one is checked whole by ``check``, which raises as ``evaluate``
-    would, then flattened and cut into k = ceil(N/_LAMBDA_SLICE) contiguous
-    slices, slice i holding points i*N//k up to (i+1)*N//k; their
-    values fill one output of the batch's shape and ``dtype``.
+    ``points`` come checked whole by the caller, as an array in the dtype
+    ``evaluate`` takes, so a bad point in any slice raises before a slice
+    is evaluated, as the unsliced evaluation would.  A batch of at most
+    _LAMBDA_SLICE points is passed whole and as given (a 0-d point rounds
+    unlike a one-point array).  A larger one is flattened and cut into
+    k = ceil(N/_LAMBDA_SLICE) contiguous slices, slice i holding points
+    i*N//k up to (i+1)*N//k; their values fill one output of the batch's
+    shape and ``dtype``.
 
     The caller starts one helper thread for the call, unless the process
     may run on one CPU only, and joins it before returning.  Both take
@@ -151,11 +153,10 @@ def _det_by_slices(params: GasParams, dtype, check, evaluate, points, *args):
     the bytes do not depend on which thread ran it.  An exception in either
     thread leaves the other no further slice and reaches the caller.
     """
-    points = np.asarray(points)
     k = -(-points.size // _LAMBDA_SLICE)
     if k <= 1:
         return evaluate(params, points, *args)
-    flat, out = check(params, points).reshape(-1), np.empty(points.size, dtype)
+    flat, out = points.reshape(-1), np.empty(points.size, dtype)
     slices = iter(range(k))  # a range iterator hands out each index once, under the GIL
     errors = []
 
@@ -191,14 +192,14 @@ def lambda_fn(params: GasParams, scheme: QuadratureScheme, z):
     (:func:`_det_by_slices`).  Points that are not finite or lie on the cut
     raise as in :func:`~bgkspectral.moments.tn_offcut_array`.
     """
-    det = _det_by_slices(params, complex, _offcut_points, _lambda_offcut, z)
+    det = _det_by_slices(params, complex, _lambda_offcut, _offcut_points(params, z))
     return complex(det) if det.ndim == 0 else det
 
 
 def lambda_pv(params: GasParams, scheme: QuadratureScheme, x):
     """lambda at cut points with all moments taken as principal values, the
     mean (lambda+ + lambda-)/2 of the boundary values (:func:`lambda_boundary`)."""
-    det = _det_by_slices(params, float, _cut_points, _lambda_pv, x)
+    det = _det_by_slices(params, float, _lambda_pv, _inside_cut(params, "x", x))
     return float(det) if det.ndim == 0 else det
 
 
@@ -210,7 +211,7 @@ def lambda_boundary(params: GasParams, scheme: QuadratureScheme, x, side: str):
     :func:`lambda_pv`, bit for bit.  :func:`sokhotsky_jump` checks it with complex determinants.
     """
     sgn = side_sign(side)  # checked before the points, as tn_boundary_array does
-    det = _det_by_slices(params, complex, _cut_points, _lambda_boundary, x, sgn)
+    det = _det_by_slices(params, complex, _lambda_boundary, _inside_cut(params, "x", x), sgn)
     return complex(det) if det.ndim == 0 else det
 
 
@@ -236,7 +237,7 @@ class SokhotskyJump:
 
 def sokhotsky_jump(params: GasParams, x: float) -> SokhotskyJump:
     """Boundary values of lambda on the cut and their jump diagnostics."""
-    x = float(require_real("cut point", x))
+    x = float(_inside_cut(params, "x", x))
     t_pv = tn_pv_array(params, x)
     half_jump = boundary_jump_array(params, x)
     lp = complex(_det3(lambda_matrix(params, t_pv + half_jump)))

@@ -151,8 +151,9 @@ def _gauss_moment(m: int) -> float:
     return float(math.gamma((m + 1) / 2))
 
 
-def fm_projection_inner(i: int, j: int, extra_sgn: int = 0) -> float:
-    """Exact projection integral <B_i, B_j> (or with an extra sgn factor).
+def fm_projection_inner(i: int, j: int, extra_sgn: int) -> float:
+    """Exact projection integral <B_i, B_j>, with an extra sgn factor if
+    ``extra_sgn`` is odd.
 
     Weight exp(-C**2)|C|, from exact half-line Gaussian moments.  Exposed so
     verification code can re-derive every matrix element of the projected
@@ -179,14 +180,14 @@ def fm_project_system() -> np.ndarray:
     """
     n = 6
     inner = fm_projection_inner
-    gram = np.array([[inner(i, j) for j in range(n)] for i in range(n)])
-    s_mat = np.array([[inner(i, j, extra_sgn=1) for j in range(n)] for i in range(n)])
+    gram = np.array([[inner(i, j, 0) for j in range(n)] for i in range(n)])
+    s_mat = np.array([[inner(i, j, 1) for j in range(n)] for i in range(n)])
     # K[B_j] = K0 + K1 C + K2 (C**2 - 1) with the three projection moments
     r_mat = np.zeros((n, n))
     for j in range(n):
-        k0, k1, k2 = inner(0, j), inner(2, j), inner(4, j)
+        k0, k1, k2 = inner(0, j, 0), inner(2, j, 0), inner(4, j, 0)
         for i in range(n):
-            r_mat[i, j] = k0 * inner(i, 0) + k1 * inner(i, 2) + k2 * inner(i, 4)
+            r_mat[i, j] = k0 * inner(i, 0, 0) + k1 * inner(i, 2, 0) + k2 * inner(i, 4, 0)
     return np.linalg.solve(s_mat, r_mat - gram)
 
 

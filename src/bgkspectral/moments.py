@@ -57,8 +57,8 @@ import math
 import numpy as np
 from scipy.special import dawsn, exp1, expi, gamma, wofz
 
-from .errors import DomainError, WrongRegionError
-from .params import (GasParams, on_cut, require_finite, require_real, rho_of_c, side_sign,
+from .errors import WrongRegionError
+from .params import (GasParams, _inside_cut, on_cut, require_finite, rho_of_c, side_sign,
                      velocity_map)
 
 SQRT_PI = math.sqrt(math.pi)
@@ -246,16 +246,6 @@ def _offcut_points(params: GasParams, z) -> np.ndarray:
     return z
 
 
-def _cut_points(params: GasParams, x) -> np.ndarray:
-    """``x`` as a float64 array, checked to lie inside the open cut as
-    :func:`tn_pv_array` requires."""
-    x = require_real("cut point", x)
-    if np.count_nonzero(np.abs(x) < params.alpha) < x.size:  # NaN fails the comparison too
-        raise DomainError(
-            f"cut point must be a number inside (-{params.alpha}, {params.alpha})")
-    return x
-
-
 def tn_offcut_array(params: GasParams, z) -> np.ndarray:
     """t0..t4 at points off the cut; shape (5,) + z.shape, complex.
 
@@ -277,9 +267,9 @@ def tn_offcut_array(params: GasParams, z) -> np.ndarray:
 def tn_pv_array(params: GasParams, x) -> np.ndarray:
     """Principal-value t0..t4 at real cut points; shape (5,) + x.shape, real.
 
-    DomainError if a point is not real, not a number or not inside the open cut.
+    DomainError if a point is not real, not finite or not inside the open cut.
     """
-    x = _cut_points(params, x)
+    x = _inside_cut(params, "x", x)
     ax = np.abs(x)
     out = np.where(ax > 0.0, _tn_halflines(params.a, ax), 0.0)
     # parity t_n(-x) = (-1)**n t_n(x)
@@ -293,7 +283,7 @@ def boundary_jump_array(params: GasParams, x) -> np.ndarray:
     At a = 0 past |x| of about 1e77, rho underflows to 0 and C**n
     overflows; the entries 0 * inf makes NaN there are 0.
     """
-    x = require_real("cut point", x)
+    x = _inside_cut(params, "x", x)
     c = np.asarray(velocity_map(params, x), dtype=float)
     jx = 1j * math.pi * x
     with np.errstate(over="ignore", invalid="ignore"):

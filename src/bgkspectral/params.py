@@ -94,13 +94,17 @@ def make_params(a: float) -> GasParams:
     return GasParams(a=a, alpha=alpha, beta=beta, r0=r0, r1=r1, r2=r2)
 
 
-def _check_mu(params: GasParams, mu) -> np.ndarray:
-    mu = require_real("mu", mu)
-    if np.any(~np.isfinite(mu)) or np.any(np.abs(mu) >= params.alpha):
-        raise DomainError(
-            f"mu must lie strictly inside (-{params.alpha}, {params.alpha})"
-        )
-    return mu
+def _inside_cut(params: GasParams, name: str, x) -> np.ndarray:
+    """``x`` as a float64 array, checked to be real and inside the open cut
+    (-alpha, alpha), the one home of that check; DomainError naming ``name``
+    and a bad entry otherwise.  Valid input costs one comparison."""
+    x = require_real(name, x)
+    inside = np.abs(x) < params.alpha
+    if np.count_nonzero(inside) < x.size:  # NaN fails the comparison too
+        require_finite(name, x)
+        raise DomainError(f"{name} is not inside the cut (-{params.alpha}, {params.alpha}): "
+                          f"{x[~inside][0]}")
+    return x
 
 
 def velocity_map(params: GasParams, mu):
@@ -112,9 +116,9 @@ def velocity_map(params: GasParams, mu):
     Raises
     ------
     DomainError
-        If ``|mu| >= alpha``.
+        If ``mu`` is complex, not finite or not inside the open cut.
     """
-    mu = _check_mu(params, mu)
+    mu = _inside_cut(params, "mu", mu)
     c = mu / (1.0 - params.a * np.abs(mu))
     return c if c.ndim else float(c)
 

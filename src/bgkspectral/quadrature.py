@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import dawsn
 
 from .errors import DomainError, EvaluationError
-from .params import GasParams, mu_of, require_finite, require_real, velocity_map
+from .params import GasParams, _inside_cut, mu_of, require_finite, require_real, velocity_map
 
 #: panel edges of the half-line rule
 _PANEL_EDGES = (0.0, 0.6, 1.2, 1.8, 2.4, 3.0, 3.6, 4.4, 5.4, 6.8, 8.6)
@@ -159,10 +159,7 @@ def integrate_pv(scheme: QuadratureScheme, f, pole: float):
         ``(-alpha, alpha)``.
     """
     p = scheme.params
-    x = float(require_real("pole", pole))
-    require_finite("pole", x)
-    if abs(x) >= p.alpha:
-        raise DomainError(f"pole {x} outside the spectral interval (+-{p.alpha})")
+    x = float(_inside_cut(p, "pole", pole))
     cx = velocity_map(p, x)
     jac_inv = (1.0 + p.a * abs(cx)) ** 2  # 1/mu'(Cx)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .dispersion import _eigen_arrays, _q_tilde
-from .params import GasParams, mu_of, require_finite, require_real, velocity_map
+from .params import GasParams, _inside_cut, mu_of, require_finite, require_real, velocity_map
 from .quadrature import QuadratureScheme, _sym_sum, integrate_pv, pv_interval
 
 if TYPE_CHECKING:
@@ -40,8 +40,8 @@ def discrete_solution(params: GasParams, k: int, x, mu):
     The constants 1/2 and 3/2 are independent of the frequency slope: the
     cross moments that would couple them to ``beta`` vanish identically in
     the speed variable, which the residual checker confirms numerically.
-    An ``x`` that is complex or not finite raises DomainError, as ``mu``
-    outside the cut does.
+    An ``x`` that is complex or not finite raises DomainError, as a ``mu``
+    that is complex, not finite or outside the cut does.
     """
     x = require_real("x", x)
     require_finite("x", x)
@@ -58,13 +58,14 @@ def discrete_solution(params: GasParams, k: int, x, mu):
 
 
 def discrete_solution_dx(params: GasParams, k: int, x, mu):
-    """Analytic x-derivative of the k-th discrete solution; a complex ``x``
-    raises DomainError."""
-    require_real("x", x)
+    """Analytic x-derivative of the k-th discrete solution; ``x`` and ``mu``
+    are checked as in :func:`discrete_solution`."""
+    x = require_real("x", x)
+    require_finite("x", x)
+    c = velocity_map(params, mu)
     if k in (0, 1, 2):
-        return np.zeros_like(np.asarray(mu, dtype=float))
+        return np.zeros_like(c)
     if k == 3:
-        c = velocity_map(params, mu)
         return c * c - 1.5
     raise DomainError(f"discrete index must be 0..3, got {k}")
 
@@ -89,7 +90,7 @@ class EigenData:
 
 def eigen_data(params: GasParams, eta: float) -> EigenData:
     """Collect rho, C, PV cofactors and PV determinant at ``eta``."""
-    eta = float(require_real("eta", eta))
+    eta = float(_inside_cut(params, "eta", eta))
     det, cof, rho, c = _eigen_arrays(params, eta)
     return EigenData(eta=eta, lambda_pv=float(det), cofactors=cof, rho=float(rho),
                      c_eta=float(c))
@@ -108,7 +109,7 @@ def eigenfunction_regular(params: GasParams, eta: float, mu: float):
     DomainError
         At the pole ``eta == mu`` (use the distributional machinery).
     """
-    eta, mu = float(require_real("eta", eta)), float(require_real("mu", mu))
+    eta, mu = float(_inside_cut(params, "eta", eta)), float(_inside_cut(params, "mu", mu))
     if abs(eta - mu) < 1e-12:
         raise DomainError("eta == mu is the singular point of the eigenfunction")
     data = eigen_data(params, eta)
@@ -149,8 +150,8 @@ class SpectralExpansion:
         self._spline = CubicSpline(self.eta_grid, self.a_values)
 
     def validate(self, params: GasParams) -> None:
-        if np.any(np.abs(self.eta_grid) >= params.alpha):
-            raise DomainError("continuum grid must lie strictly inside the cut")
+        """DomainError naming ``eta_grid`` unless it lies inside the open cut."""
+        _inside_cut(params, "eta_grid", self.eta_grid)
 
     def a_of(self, eta):
         """Interpolated continuum coefficient, zero outside the grid hull."""
@@ -183,10 +184,8 @@ def apply_expansion(params: GasParams, scheme: QuadratureScheme,
     continuum integral acquires poles the quadrature does not treat.
     """
     expansion.validate(params)
-    x, mu = float(require_real("x", x)), float(require_real("mu", mu))
+    x, mu = float(require_real("x", x)), float(_inside_cut(params, "mu", mu))
     require_finite("x", x)
-    if abs(mu) >= params.alpha:
-        raise DomainError(f"|mu| must be < {params.alpha}")
 
     out = 0.0
     for k in range(4):
@@ -276,16 +275,15 @@ def normalization_check(params: GasParams, scheme: QuadratureScheme,
     deviations; their smallness is the self-consistency of the moment
     system with its own solution formula.
     """
-    eta = float(require_real("eta", eta))
     data = eigen_data(params, eta)
-    prefactor = eta * data.rho / data.lambda_pv
+    prefactor = data.eta * data.rho / data.lambda_pv
 
     def f(c):
         q = _q_tilde(params, data.cofactors, velocity_map(params, mu_of(params, c)))
         return -q * np.stack([np.ones_like(c), c, c**2])
 
     # PV int Q~ C^a rho/(eta-mu) dmu  ==  -PV int w(C) f.../(mu(C)-eta) dC
-    pv_part = prefactor * integrate_pv(scheme, f, eta)
+    pv_part = prefactor * integrate_pv(scheme, f, data.eta)
     deviations = np.empty(3)
     for a_idx in range(3):
         direct = pv_part[a_idx] + data.rho * data.c_eta**a_idx

@@ -207,7 +207,7 @@ def test_criterion_10_free_molecular():
             plain = np.sum(w * (bp[i] * bp[j] + bm[i] * bm[j]))
             sgn = np.sum(w * (bp[i] * bp[j] - bm[i] * bm[j]))
             proj_dev = max(proj_dev,
-                           abs(plain - fm_projection_inner(i, j)),
+                           abs(plain - fm_projection_inner(i, j, 0)),
                            abs(sgn - fm_projection_inner(i, j, extra_sgn=1)))
     res = 0.0
     for name in ("A0", "A1", "A2", "A3", "At1", "At3"):

@@ -209,7 +209,7 @@ class TestProjectedSystem:
                 plain = np.sum(w * (bp[i] * bp[j] + bm[i] * bm[j]))
                 sgn = np.sum(w * (bp[i] * bp[j] - bm[i] * bm[j]))
                 assert plain == pytest.approx(
-                    fm_projection_inner(i, j), abs=1e-12)
+                    fm_projection_inner(i, j, 0), abs=1e-12)
                 assert sgn == pytest.approx(
                     fm_projection_inner(i, j, extra_sgn=1), abs=1e-12)
 

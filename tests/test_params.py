@@ -1,4 +1,6 @@
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import scipy.optimize as so
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bgkspectral
 from bgkspectral import (
     DomainError,
     FreeMolecularSolution,
@@ -15,19 +18,32 @@ from bgkspectral import (
     count_zeros,
     discrete_solution,
     discrete_solution_dx,
+    eigen_data,
+    eigenfunction_regular,
     fm_general_solution,
     fm_kernel,
     fm_residual,
     integrate_pv,
     kernel_q_c,
     keyhole_contour,
+    lambda_a0_boundary,
+    lambda_a0_pv,
+    lambda_boundary,
+    lambda_c_boundary,
+    lambda_c_pv,
+    lambda_pv,
     make_params,
     make_scheme,
     mu_of,
+    normalization_check,
     pv_interval,
     residual_2_4,
+    sokhotsky_jump,
+    tn_boundary_array,
+    tn_pv_array,
     velocity_map,
 )
+from bgkspectral.dispersion import _LAMBDA_SLICE
 from bgkspectral.quadrature import integrate_weighted
 
 from conftest import A_GRID, adaptive_weighted, lambda_c_stable, weight
@@ -254,6 +270,12 @@ NON_FINITE_CALLS = {
     "pv_interval_pole": ("pole", lambda v: pv_interval(np.cos, 0.0, 1.0, v)),
     "mu_of": ("c", lambda v: mu_of(P1, v)),
     "discrete_solution": ("x", lambda v: discrete_solution(P1, 3, v, 0.1)),
+    "discrete_solution_dx": ("x", lambda v: discrete_solution_dx(P1, 0, v, 0.1)),
+    "discrete_solution_dx_mu": ("mu", lambda v: discrete_solution_dx(P1, 0, 0.3, v)),
+    "lambda_c_pv": ("x", lambda_c_pv),
+    "lambda_c_boundary": ("x", lambda v: lambda_c_boundary(v, "plus")),
+    "lambda_a0_pv": ("x", lambda_a0_pv),
+    "lambda_a0_boundary": ("x", lambda v: lambda_a0_boundary(v, "minus")),
     "keyhole_contour_width": ("half_width", lambda v: keyhole_contour(P1, v, 2.0)),
     "keyhole_contour_height": ("half_height", lambda v: keyhole_contour(P1, 3.0, v)),
     "count_zeros": ("contour", lambda v: count_zeros(
@@ -311,3 +333,50 @@ def test_complex_input_rejected(entry):
     real, dropped = call(0.5), call(0.5 + 0j)
     assert type(dropped) is type(real)
     assert np.asarray(dropped).tobytes() == np.asarray(real).tobytes()
+
+
+#: the entry points that take points inside the open cut: the argument each
+#: checks, the call, and whether it takes a batch of points
+OUTSIDE_CUT_CALLS = {
+    "velocity_map": ("mu", lambda v: velocity_map(P1, v), True),
+    "tn_pv_array": ("x", lambda v: tn_pv_array(P1, v), True),
+    "tn_boundary_array": ("x", lambda v: tn_boundary_array(P1, v, "plus"), True),
+    "lambda_pv": ("x", lambda v: lambda_pv(P1, S1, v), True),
+    "lambda_boundary": ("x", lambda v: lambda_boundary(P1, S1, v, "minus"), True),
+    "sokhotsky_jump": ("x", lambda v: sokhotsky_jump(P1, v), False),
+    "eigen_data": ("eta", lambda v: eigen_data(P1, v), False),
+    "normalization_check": ("eta", lambda v: normalization_check(P1, S1, v), False),
+    "eigenfunction_regular eta": ("eta", lambda v: eigenfunction_regular(P1, v, 0.1), False),
+    "eigenfunction_regular mu": ("mu", lambda v: eigenfunction_regular(P1, 0.1, v), False),
+    "integrate_pv": ("pole", lambda v: integrate_pv(S1, np.cos, v), False),
+    "apply_expansion": ("mu", lambda v: apply_expansion(P1, S1, EXPANSION1, 0.3, v), False),
+    "SpectralExpansion.validate": ("eta_grid", lambda v: SpectralExpansion(
+        np.ones(4), np.sort(np.append(GRID, v)), np.zeros(GRID.size + 1)).validate(P1), False),
+    "discrete_solution": ("mu", lambda v: discrete_solution(P1, 0, 0.3, v), True),
+    "discrete_solution_dx": ("mu", lambda v: discrete_solution_dx(P1, 0, 0.3, v), True),
+}
+
+
+@pytest.mark.parametrize("bad", [-P1.alpha, P1.alpha, 1.5 * P1.alpha])
+@pytest.mark.parametrize("entry, shape", [(entry, shape) for entry in sorted(OUTSIDE_CUT_CALLS)
+                                          for shape in ("scalar", "batch")[:1 + OUTSIDE_CUT_CALLS[entry][2]]])
+def test_outside_cut_rejected(entry, shape, bad):
+    # the endpoints and a point beyond, alone or late in a batch one point
+    # longer than a lambda slice: DomainError naming the argument and the point
+    name, call, _ = OUTSIDE_CUT_CALLS[entry]
+    points = bad if shape == "scalar" else np.where(
+        np.arange(_LAMBDA_SLICE + 1) == _LAMBDA_SLICE - 3, bad, 0.5)
+    want = re.escape(f"{name} is not inside the cut (-{P1.alpha}, {P1.alpha}): {bad}")
+    with pytest.raises(DomainError, match=f"^{want}$"):
+        call(points)
+
+
+def test_every_point_entry_is_tabled():
+    # a public function taking x, mu, eta or pole is in one of the tables
+    # above, so a new entry point cannot skip its checks
+    keys = [key for table in (NON_FINITE_CALLS, COMPLEX_CALLS, OUTSIDE_CUT_CALLS) for key in table]
+    for fname in bgkspectral.__all__:
+        fn = getattr(bgkspectral, fname)
+        if inspect.isfunction(fn) and {"x", "mu", "eta", "pole"} & set(inspect.signature(fn).parameters):
+            assert any(key == fname or key.startswith((fname + "_", fname + " "))
+                       for key in keys), fname

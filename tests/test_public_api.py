@@ -42,8 +42,7 @@ def test_public_names_pinned():
 #: the parameters with a default, as module.function.parameter, over the
 #: functions defined in the modules below
 DEFAULTED = [
-    "cli.main.argv", "limits.fm_projection_inner.extra_sgn",
-    "spectrum.apply_expansion.derivative", "spectrum.residual_2_4.dh_dx",
+    "cli.main.argv", "spectrum.apply_expansion.derivative", "spectrum.residual_2_4.dh_dx",
 ]
 
 
@@ -55,7 +54,7 @@ def test_defaulted_parameters_pinned():
             if inspect.isfunction(fn) and fn.__module__ == module.__name__:
                 found += [f"{name}.{fname}.{p.name}" for p in inspect.signature(fn).parameters.values()
                           if p.default is not inspect.Parameter.empty]
-    assert len(DEFAULTED) == 4
+    assert len(DEFAULTED) == 3
     assert sorted(found) == DEFAULTED
 
 
