@@ -23,15 +23,18 @@ evaluators keep a ``scheme`` for their positional callers and do not read it.
 ``lambda_fn``, ``lambda_pv`` and ``lambda_boundary`` evaluate a batch in
 contiguous slices of at most 8192 points (``_det_by_slices``), so their
 temporaries scale with the slice, not the batch: a 1e5-point ``lambda_fn``
-peaks at about 7.5 MiB of traced memory, 1.5 MiB of it the output, and a
-1e6-point one at 22 MiB, where the whole-batch evaluation took 37 and
+peaks at about 6.5 MiB of traced memory, 1.5 MiB of it the output, and a
+1e6-point one at 21 MiB, where the whole-batch evaluation took 37 and
 373 MiB.  A batch of at most 8192 points is evaluated whole; in a larger
 one a point's last bits depend on the slice partition (numpy's temporary
-elision, the kernel's BLAS products).  The caller shares the slices with
-one helper thread, started for the call and joined before it returns (none
-on one CPU), with the bytes of the caller alone.  Evaluation is pure, but
-one large batch beats fanning its points out over threads: numpy calls on
-arrays of up to about 1e4 elements run slower on two threads than on one.
+elision, the kernel's BLAS products).  The caller evaluates every slice and
+does all the numpy work.  One helper thread, started for the call and
+joined before it returns (none on one CPU), computes the special functions
+of the slices ahead (``wofz`` and ``exp1``, or ``dawsn`` and ``expi`` on the
+cut), which hold no interpreter lock; the output has the bytes of the
+caller alone.  Evaluation is pure, but one large batch beats fanning its
+points out over threads: numpy calls on arrays of up to about 1e4 elements
+run slower on two threads than on one.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationError, IllConditionedContourError
-from .moments import _offcut_points, boundary_jump_array, tn_offcut_array, tn_pv_array
+from .moments import (_offcut_points, _tn_offcut, _tn_pieces, _tn_pv, boundary_jump_array,
+                      tn_pv_array)
 from .params import (GasParams, _inside_cut, on_cut, require_finite, rho_of_c, side_sign,
                      velocity_map)
 from .quadrature import QuadratureScheme
@@ -107,35 +111,39 @@ def _q_tilde(params: GasParams, cof, c_mu):
     )
 
 
-def _eigen_arrays(params: GasParams, x):
-    """PV determinant, PV cofactors, rho and C at cut points ``x``, vectorized."""
-    m = lambda_matrix(params, tn_pv_array(params, x))
+def _eigen_arrays(params: GasParams, x, t):
+    """PV determinant, PV cofactors, rho and C at cut points ``x`` from their
+    PV moments ``t``, vectorized."""
+    m = lambda_matrix(params, t)
     c = velocity_map(params, x)
     return _det3(m), _cofactors(m, c), rho_of_c(params, c), c
 
 
-def _lambda_offcut(params: GasParams, z):
+def _lambda_offcut(params: GasParams, z, pieces):
     """lambda off the cut; on the real axis beyond it Im lambda = Im z = +-0."""
-    lam = np.asarray(_det3(lambda_matrix(params, tn_offcut_array(params, z))))
+    lam = np.asarray(_det3(lambda_matrix(params, _tn_offcut(params, z, pieces))))
     np.copyto(lam.imag, np.imag(z), where=np.imag(z) == 0.0)
     return lam
 
 
-def _lambda_pv(params: GasParams, x):
-    return _det3(lambda_matrix(params, tn_pv_array(params, x)))
+def _lambda_pv(params: GasParams, x, pieces):
+    return _det3(lambda_matrix(params, _tn_pv(params, x, pieces)))
 
 
-def _lambda_boundary(params: GasParams, x, sgn: float):
+def _lambda_boundary(params: GasParams, x, pieces, sgn: float):
     """lambda_pv(x) + sgn*i*pi*x*rho*Q~(x, x) at float64 cut points ``x``; the
     jump is 0 where rho underflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # C**2 past |x| = 1e154 at a = 0
-        det, cof, rho, c = _eigen_arrays(params, x)
+        det, cof, rho, c = _eigen_arrays(params, x, _tn_pv(params, x, pieces))
         jump = np.where(rho > 0.0, math.pi * x * rho * _q_tilde(params, cof, c), 0.0)
     return np.stack([det, sgn * jump], axis=-1).view(complex)[..., 0]  # signed zeros kept
 
 
 def _det_by_slices(params: GasParams, dtype, evaluate, points, *args):
-    """``evaluate(params, p, *args)``, lambda at the points ``p``, over ``points``.
+    """``evaluate(params, p, _tn_pieces(params, p), *args)``, lambda at the
+    points ``p``, over ``points``: ``_tn_pieces`` stages the special-function
+    calls of the moment kernel (:mod:`~bgkspectral.moments`) and ``evaluate``
+    does all the rest.
 
     ``points`` come checked whole by the caller, as an array in the dtype
     ``evaluate`` takes, so a bad point in any slice raises before a slice
@@ -146,41 +154,76 @@ def _det_by_slices(params: GasParams, dtype, evaluate, points, *args):
     i*N//k up to (i+1)*N//k; their values fill one output of the batch's
     shape and ``dtype``.
 
-    The caller starts one helper thread for the call, unless the process
-    may run on one CPU only, and joins it before returning.  Both take
-    slices from one iterator, the helper in a copy of the caller's context
-    (numpy's ``errstate``).  Each slice is computed as it would be alone, so
-    the bytes do not depend on which thread ran it.  An exception in either
-    thread leaves the other no further slice and reaches the caller.
+    The caller evaluates the slices in order.  Unless the process may run
+    on one CPU only, it starts one helper thread for the call, in a copy of
+    its context (numpy's ``errstate``), and joins it before returning.  The
+    helper only stages: it claims the next unclaimed slice and stages it,
+    mostly inside special functions that hold no interpreter lock.  The
+    caller stages a slice nobody has claimed itself, and while it waits for
+    one the helper stages, it stages the next unclaimed one.  No slice four
+    or more ahead of the caller's is claimed, so the staged slices are at
+    most four.  A slice is staged and evaluated as it would be alone, so the
+    bytes do not depend on which thread staged it.  An exception in the
+    helper leaves it no further slice and reaches the caller; one in the
+    caller stops the helper.
     """
     k = -(-points.size // _LAMBDA_SLICE)
     if k <= 1:
-        return evaluate(params, points, *args)
+        return evaluate(params, points, _tn_pieces(params, points), *args)
     flat, out = points.reshape(-1), np.empty(points.size, dtype)
-    slices = iter(range(k))  # a range iterator hands out each index once, under the GIL
-    errors = []
+    part = [slice(i * flat.size // k, (i + 1) * flat.size // k) for i in range(k)]
+    staged, errors, cond = {}, [], threading.Condition()
+    claim = [0, 0]  # the next unclaimed slice and the caller's slice, under cond
 
-    def drain():
+    def helper():
         try:
-            for i in slices:
-                lo, hi = i * flat.size // k, (i + 1) * flat.size // k
-                out[lo:hi] = evaluate(params, flat[lo:hi], *args)
-        except BaseException as exc:  # raised again in the caller, after the join
-            errors.append(exc)
-            for _ in slices:
-                pass
+            while True:
+                with cond:  # no slice four or more ahead of the caller's
+                    cond.wait_for(lambda: claim[0] >= k or claim[0] < claim[1] + 4)
+                    if claim[0] >= k:
+                        return
+                    i, claim[0] = claim[0], claim[0] + 1
+                pieces = _tn_pieces(params, flat[part[i]])
+                with cond:
+                    staged[i] = pieces
+                    cond.notify_all()
+        except BaseException as exc:  # raised again in the caller
+            with cond:
+                errors.append(exc)
+                claim[0] = k
+                cond.notify_all()
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    if cpus > 1:
-        helper = threading.Thread(target=contextvars.copy_context().run, args=(drain,))
-        helper.start()
-        drain()
-        helper.join()
-    else:
-        drain()
-    if errors:
-        raise errors[0]
+    thread = (threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+              if cpus > 1 else None)
+    if thread:
+        thread.start()
+    try:
+        for j in range(k):
+            while True:
+                with cond:
+                    claim[1] = j
+                    cond.notify_all()
+                    cond.wait_for(lambda: j in staged or errors or claim[0] < min(k, j + 4))
+                    if errors:
+                        raise errors[0]
+                    if j in staged:
+                        pieces = staged.pop(j)
+                        break
+                    i, claim[0] = claim[0], claim[0] + 1
+                pieces = _tn_pieces(params, flat[part[i]])
+                if i == j:
+                    break
+                with cond:
+                    staged[i] = pieces
+            out[part[j]] = evaluate(params, flat[part[j]], pieces, *args)
+    finally:
+        if thread:
+            with cond:
+                claim[0] = k
+                cond.notify_all()
+            thread.join()
     return out.reshape(points.shape)
 
 

@@ -166,20 +166,50 @@ def _cauchy_halfline_series(a: float, z) -> np.ndarray:
     return out
 
 
-def _cauchy_halflines(a: float, z: np.ndarray, dp, dm):
-    """J_0..J_4 on both half-lines of the points ``z``: at Z+ = z/dp (C > 0)
-    and at -Z- = -(z/dm) (C < 0, as u = -C); two (5,) + z.shape arrays in
-    the dtype of ``z``.  At a = 0, -Z- is -Z+, and Phi(-Z) = (half - full)/2
-    reuses the special functions of Phi(Z).  The far points of both
-    half-lines share one series call; wholly near or far half-lines skip the
-    index gathers and scatters.
-    """
-    outs, pending, mirrored, shape = [], [], None, (5,) + np.shape(z)
+def _divisors(a: float, z: np.ndarray):
+    """The half-line divisors dp = 1 - az and dm = 1 + az, with the masks
+    ``edges`` of the points (complex z, a > 0) a subnormal distance from a
+    branch point +-alpha, where Z = z/d would overflow; there d is set to 1."""
+    dp, dm = 1.0 - a * z, 1.0 + a * z
+    edges = [np.abs(d) < 1e-300 * np.abs(z) for d in (dp, dm) if a > 0.0 and np.iscomplexobj(z)]
+    if np.count_nonzero(edges):
+        dp, dm = np.where(edges[0], 1.0, dp), np.where(edges[1], 1.0, dm)
+    return dp, dm, edges
+
+
+def _halfline_points(z: np.ndarray, dp, dm):
+    """Z+ = z/dp (C > 0) and -Z- = -(z/dm) (C < 0, as u = -C), flattened, each
+    with its far mask (|Z| >= _SERIES_RADIUS) and the count of far points."""
     for minus, d in ((False, dp), (True, dm)):
         zh = (-(z / d) if minus else z / d).reshape(-1)
-        out = np.empty((5, zh.size), dtype=zh.dtype)
         far = np.abs(zh) >= _SERIES_RADIUS
-        n_far = np.count_nonzero(far)
+        yield zh, far, np.count_nonzero(far)
+
+
+def _halfline_pieces(a: float, z: np.ndarray) -> list:
+    """The special functions of :func:`_tn_halflines` at the points ``z``: the
+    ``_phi_pieces`` of each half-line's near points, in the order it consumes
+    them.  At a = 0 only the C > 0 half-line's, which the C < 0 one mirrors."""
+    dp, dm, _ = _divisors(a, z)
+    pieces = []
+    for zh, far, n_far in _halfline_points(z, dp, dm):
+        if n_far < zh.size and not (a == 0.0 and pieces):
+            pieces.append(_phi_pieces(zh[slice(None) if not n_far else np.flatnonzero(~far)], a))
+    return pieces
+
+
+def _cauchy_halflines(a: float, z: np.ndarray, dp, dm, pieces: list):
+    """J_0..J_4 on both half-lines of the points ``z``: at Z+ = z/dp (C > 0)
+    and at -Z- = -(z/dm) (C < 0, as u = -C); two (5,) + z.shape arrays in
+    the dtype of ``z``.  ``pieces`` holds the special functions of the near
+    points (:func:`_halfline_pieces`), each taken out as it is used.  At
+    a = 0, -Z- is -Z+, and Phi(-Z) = (half - full)/2 reuses those of Phi(Z).
+    The far points of both half-lines share one series call; wholly near or
+    far half-lines skip the index gathers and scatters.
+    """
+    outs, pending, mirrored, shape = [], [], None, (5,) + np.shape(z)
+    for zh, far, n_far in _halfline_points(z, dp, dm):
+        out = np.empty((5, zh.size), dtype=zh.dtype)
         if n_far:
             at = slice(None) if n_far == zh.size else np.flatnonzero(far)
             pending.append((out, at, zh[at]))
@@ -187,7 +217,7 @@ def _cauchy_halflines(a: float, z: np.ndarray, dp, dm):
             near = slice(None) if not n_far else np.flatnonzero(~far)
             zn = zh[near]
             if mirrored is None:
-                full, half = _phi_pieces(zn, a)
+                full, half = pieces.pop(0)
                 phi = 0.5 * (full + half)
                 if a == 0.0:
                     mirrored = 0.5 * (half - full)
@@ -209,23 +239,19 @@ def _cauchy_halflines(a: float, z: np.ndarray, dp, dm):
 # t_n evaluation
 # ---------------------------------------------------------------------------
 
-def _tn_halflines(a: float, z: np.ndarray) -> np.ndarray:
-    """t0..t4 as the sum of the two factorized half-line transforms.
+def _tn_halflines(a: float, z: np.ndarray, pieces: list) -> np.ndarray:
+    """t0..t4 as the sum of the two factorized half-line transforms, with the
+    special functions ``pieces`` = :func:`_halfline_pieces` ``(a, z)``.
 
     ``z`` is complex (a point off the cut) or real and nonnegative (``|x|``
     for the principal value).  Real ``z`` stays in real arithmetic, because
     a complex division by ``1 - a*z`` rounds differently from a real one.
-    At real ``z = 0`` the result is finite and the caller sets it.
-
-    A subnormal distance from a branch point +-alpha (complex z, a > 0),
-    Z = z/d overflows with d = 1 -+ az; there J_n(Z)/d is set to the series'
-    leading term -g_n/(Z d), Z d = z (C > 0) or -z (C < 0), and d to 1.
+    At real ``z = 0`` the result is finite and the caller sets it.  At the
+    ``edges`` of :func:`_divisors` J_n(Z)/d is set to the series' leading
+    term -g_n/(Z d), Z d = z (C > 0) or -z (C < 0).
     """
-    dp, dm = 1.0 - a * z, 1.0 + a * z
-    edges = [np.abs(d) < 1e-300 * np.abs(z) for d in (dp, dm) if a > 0.0 and np.iscomplexobj(z)]
-    if np.count_nonzero(edges):
-        dp, dm = np.where(edges[0], 1.0, dp), np.where(edges[1], 1.0, dm)
-    out, jm = _cauchy_halflines(a, z, dp, dm)
+    dp, dm, edges = _divisors(a, z)
+    out, jm = _cauchy_halflines(a, z, dp, dm, pieces)
     if np.count_nonzero(edges):
         g = _series_coefficients(a)[:5, None]
         out[:, edges[0]], jm[:, edges[1]] = -g / z[edges[0]], g / z[edges[1]]
@@ -234,6 +260,11 @@ def _tn_halflines(a: float, z: np.ndarray) -> np.ndarray:
         out[n] = z * (out[n] + (-1.0) ** (n + 1) * jm[n] / dm)
     return out
 
+
+# Each tn_*_array function is a check, a staging step that makes every
+# special-function call of the kernel (``_tn_pieces``) and the step that
+# consumes them (``_tn_offcut``, ``_tn_pv``): bulk lambda evaluation stages a
+# slice on another thread than the one consuming it.
 
 def _offcut_points(params: GasParams, z) -> np.ndarray:
     """``z`` as a complex array, checked to lie off the closed cut as
@@ -244,6 +275,28 @@ def _offcut_points(params: GasParams, z) -> np.ndarray:
         raise WrongRegionError(
             "point lies on the spectral cut; use the PV or boundary-value entry points")
     return z
+
+
+def _lifted(z: np.ndarray):
+    """The points below |z| = 1e-150, where Z**2 would underflow, and ``z``
+    with those moved to 1j."""
+    tiny = np.abs(z) < 1e-150
+    return tiny, np.where(tiny, 1j, z) if np.count_nonzero(tiny) else z
+
+
+def _tn_pieces(params: GasParams, p: np.ndarray) -> list:
+    """The special functions of :func:`_tn_offcut` at checked complex points
+    ``p``, or of :func:`_tn_pv` at checked real ones."""
+    return _halfline_pieces(params.a, _lifted(p)[1] if np.iscomplexobj(p) else np.abs(p))
+
+
+def _tn_offcut(params: GasParams, z: np.ndarray, pieces: list) -> np.ndarray:
+    """:func:`tn_offcut_array` at checked points, given their ``_tn_pieces``."""
+    tiny, lifted = _lifted(z)
+    out = _tn_halflines(params.a, lifted, pieces)
+    out[:, tiny] = 0.0
+    np.copyto(out.imag, z.imag, where=z.imag == 0.0)
+    return out
 
 
 def tn_offcut_array(params: GasParams, z) -> np.ndarray:
@@ -257,10 +310,15 @@ def tn_offcut_array(params: GasParams, z) -> np.ndarray:
     the cut on the real axis, t_n has the sign of Im z on its zero imaginary part.
     """
     z = _offcut_points(params, z)
-    tiny = np.abs(z) < 1e-150
-    out = _tn_halflines(params.a, np.where(tiny, 1j, z) if np.count_nonzero(tiny) else z)
-    out[:, tiny] = 0.0
-    np.copyto(out.imag, z.imag, where=z.imag == 0.0)
+    return _tn_offcut(params, z, _tn_pieces(params, z))
+
+
+def _tn_pv(params: GasParams, x: np.ndarray, pieces: list) -> np.ndarray:
+    """:func:`tn_pv_array` at checked cut points, given their ``_tn_pieces``."""
+    ax = np.abs(x)
+    out = np.where(ax > 0.0, _tn_halflines(params.a, ax, pieces), 0.0)
+    # parity t_n(-x) = (-1)**n t_n(x)
+    out[1::2] *= np.where(x < 0, -1.0, 1.0)
     return out
 
 
@@ -270,11 +328,7 @@ def tn_pv_array(params: GasParams, x) -> np.ndarray:
     DomainError if a point is not real, not finite or not inside the open cut.
     """
     x = _inside_cut(params, "x", x)
-    ax = np.abs(x)
-    out = np.where(ax > 0.0, _tn_halflines(params.a, ax), 0.0)
-    # parity t_n(-x) = (-1)**n t_n(x)
-    out[1::2] *= np.where(x < 0, -1.0, 1.0)
-    return out
+    return _tn_pv(params, x, _tn_pieces(params, x))
 
 
 def boundary_jump_array(params: GasParams, x) -> np.ndarray:

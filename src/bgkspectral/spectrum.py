@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .dispersion import _eigen_arrays, _q_tilde
+from .moments import tn_pv_array
 from .params import GasParams, _inside_cut, mu_of, require_finite, require_real, velocity_map
 from .quadrature import QuadratureScheme, _sym_sum, integrate_pv, pv_interval
 
@@ -91,7 +92,7 @@ class EigenData:
 def eigen_data(params: GasParams, eta: float) -> EigenData:
     """Collect rho, C, PV cofactors and PV determinant at ``eta``."""
     eta = float(_inside_cut(params, "eta", eta))
-    det, cof, rho, c = _eigen_arrays(params, eta)
+    det, cof, rho, c = _eigen_arrays(params, eta, tn_pv_array(params, eta))
     return EigenData(eta=eta, lambda_pv=float(det), cofactors=cof, rho=float(rho),
                      c_eta=float(c))
 
@@ -202,7 +203,7 @@ def apply_expansion(params: GasParams, scheme: QuadratureScheme,
     c_mu = velocity_map(params, mu)
 
     def integrand(eta):
-        det, cof, rho_eta, _ = _eigen_arrays(params, eta)
+        det, cof, rho_eta, _ = _eigen_arrays(params, eta, tn_pv_array(params, eta))
         qt = _q_tilde(params, cof, c_mu)
         expo = np.exp(-x / eta)
         if derivative:

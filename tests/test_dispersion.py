@@ -33,7 +33,7 @@ from bgkspectral import (
     tn_offcut_array,
     tn_pv_array,
 )
-from bgkspectral import dispersion
+from bgkspectral import dispersion, moments
 from bgkspectral.cli import main
 from bgkspectral.dispersion import (
     _cofactors,
@@ -50,7 +50,7 @@ from bgkspectral.limits import (
     lambda_c_boundary,
     lambda_c_pv,
 )
-from bgkspectral.moments import boundary_jump_array
+from bgkspectral.moments import _tn_pieces, boundary_jump_array
 from bgkspectral.spectrum import (
     SpectralExpansion,
     apply_expansion,
@@ -276,16 +276,19 @@ class TestLambdaFunction:
 
 SLICE = dispersion._LAMBDA_SLICE
 
-#: each evaluator, with the per-slice evaluator it slices and the tn_*_array
-#: function whose errors it raises
+#: each evaluator, with the per-slice evaluator it slices (given the staged
+#: special functions of its points) and the tn_*_array function whose errors
+#: it raises
 EVALUATORS = {
-    "fn": (lambda p, v: lambda_fn(p, None, v), dispersion._lambda_offcut, tn_offcut_array),
-    "pv": (lambda p, v: lambda_pv(p, None, v), dispersion._lambda_pv, tn_pv_array),
+    "fn": (lambda p, v: lambda_fn(p, None, v),
+           lambda p, v: dispersion._lambda_offcut(p, v, _tn_pieces(p, v)), tn_offcut_array),
+    "pv": (lambda p, v: lambda_pv(p, None, v),
+           lambda p, v: dispersion._lambda_pv(p, v, _tn_pieces(p, v)), tn_pv_array),
     "plus": (lambda p, v: lambda_boundary(p, None, v, "plus"),
-             lambda p, v: dispersion._lambda_boundary(p, v, 1.0),
+             lambda p, v: dispersion._lambda_boundary(p, v, _tn_pieces(p, v), 1.0),
              lambda p, v: tn_boundary_array(p, v, "plus")),
     "minus": (lambda p, v: lambda_boundary(p, None, v, "minus"),
-              lambda p, v: dispersion._lambda_boundary(p, v, -1.0),
+              lambda p, v: dispersion._lambda_boundary(p, v, _tn_pieces(p, v), -1.0),
               lambda p, v: tn_boundary_array(p, v, "minus")),
 }
 
@@ -322,6 +325,32 @@ SMALL = 64
 @pytest.fixture
 def small_slices(monkeypatch):
     monkeypatch.setattr(dispersion, "_LAMBDA_SLICE", SMALL)
+
+
+def _cpus():
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+#: the special functions of the moment kernel, called through ``moments``
+SPECIAL = ("wofz", "exp1", "expi", "dawsn")
+
+
+def _spy_specials(monkeypatch, caller, record):
+    """Call ``record(name)`` in each special function of the ``moments``
+    namespace.  With more than one CPU, the calls of the threads in
+    ``caller`` wait until another thread has made one, so that the helper
+    stages at least one slice."""
+    staged = threading.Event()
+    for name in SPECIAL:
+        def spy(*args, _f=getattr(moments, name), _n=name):
+            if threading.get_ident() not in caller:
+                staged.set()
+            elif _cpus() > 1:
+                assert staged.wait(timeout=60), "the helper staged no slice"
+            record(_n)
+            return _f(*args)
+        monkeypatch.setattr(moments, name, spy)
 
 
 def _small(size):
@@ -368,25 +397,29 @@ class TestSlicedEvaluation:
     @pytest.mark.usefixtures("small_slices")
     def test_slices_follow_documented_partition(self, size, monkeypatch):
         # contiguous, balanced slices: none longer than the slice, none
-        # shorter than half of it once the batch is sliced; two threads
-        # compute them, so they are recorded by offset (the points are
-        # distinct), not in the order they finish
+        # shorter than half of it once the batch is sliced; the caller
+        # evaluates them in order, and two threads stage them, so the staged
+        # ones are recorded by offset (the points are distinct)
         size = _small(size)
         p = make_params(1.0)
         z = _points(p, "fn", size)
-        by_offset = {}
-        real = dispersion.tn_offcut_array
+        seen, staged = [], {}
+        evaluate, stage = dispersion._lambda_offcut, dispersion._tn_pieces
 
-        def spy(p, piece):
-            by_offset[int(np.flatnonzero(z == piece[0])[0])] = piece.copy()
-            return real(p, piece)
+        def spy_stage(p, piece):
+            staged[int(np.flatnonzero(z == piece[0])[0])] = piece.copy()
+            return stage(p, piece)
 
-        monkeypatch.setattr(dispersion, "tn_offcut_array", spy)
+        monkeypatch.setattr(dispersion, "_lambda_offcut",
+                            lambda p, piece, pieces: seen.append(piece.copy())
+                            or evaluate(p, piece, pieces))
+        monkeypatch.setattr(dispersion, "_tn_pieces", spy_stage)
         lambda_fn(p, None, z)
-        assert sorted(by_offset) == [s.start for s in lambda_slices(size)]
-        seen = [by_offset[offset] for offset in sorted(by_offset)]
-        assert [piece.size for piece in seen] == [s.stop - s.start for s in lambda_slices(size)]
-        assert np.concatenate(seen).tobytes() == z.tobytes()
+        assert [int(np.flatnonzero(z == piece[0])[0]) for piece in seen] == [
+            s.start for s in lambda_slices(size)]
+        assert sorted(staged) == [s.start for s in lambda_slices(size)]
+        for piece, s in zip(seen, lambda_slices(size)):
+            assert piece.tobytes() == z[s].tobytes() == staged[s.start].tobytes()
         assert max(piece.size for piece in seen) <= SMALL
         assert size <= SMALL or min(piece.size for piece in seen) >= SMALL // 2
 
@@ -442,16 +475,43 @@ class TestSlicedEvaluation:
     @pytest.mark.parametrize("a", [0.0, 1.0, 100.0])
     @pytest.mark.usefixtures("small_slices")
     def test_helper_thread_keeps_the_bytes(self, a, monkeypatch):
-        # slices shared with the helper thread give the bytes the caller
-        # gives alone, on one CPU
+        # slices staged by the helper thread give the bytes the caller
+        # gives alone, on one CPU, for all four evaluators
         p = make_params(a)
-        cases = [(kind, size) for kind in EVALUATORS for size in (SMALL + 1, 3 * SMALL + 5)]
-        cases += [(kind, _small(100_000)) for kind in ("fn", "pv", "plus")]
+        cases = [(kind, size) for kind in EVALUATORS
+                 for size in (SMALL + 1, 3 * SMALL + 5, _small(100_000))]
         shared = {case: EVALUATORS[case[0]][0](p, _points(p, *case)) for case in cases}
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         for case in cases:
             alone = EVALUATORS[case[0]][0](p, _points(p, *case))
             assert shared[case].tobytes() == alone.tobytes(), case
+
+    @pytest.mark.parametrize("kind", list(EVALUATORS))
+    @pytest.mark.usefixtures("small_slices")
+    def test_helper_thread_only_stages_special_functions(self, kind, monkeypatch):
+        # the caller runs every step of the moment kernel but the special
+        # functions, and the helper runs none but those, called through the
+        # moments globals; the bytes are those of a call alone
+        if _cpus() == 1:
+            pytest.skip("one CPU: no helper thread")
+        p = make_params(1.0)
+        x = _points(p, kind, 3 * SMALL + 5)
+        want = EVALUATORS[kind][0](p, x).tobytes()
+        calls, caller = [], {threading.get_ident()}
+        _spy_specials(monkeypatch, caller, lambda name: calls.append((name, threading.get_ident())))
+        for name in ("tn_offcut_array", "tn_pv_array", "_tn_offcut", "_tn_pv", "_tn_halflines",
+                     "_cauchy_halfline_poly", "_cauchy_halfline_series"):
+            for module in (moments, dispersion):
+                if hasattr(module, name):
+                    def spy(*args, _f=getattr(module, name), _n=name):
+                        calls.append((_n, threading.get_ident()))
+                        return _f(*args)
+                    monkeypatch.setattr(module, name, spy)
+        assert EVALUATORS[kind][0](p, x).tobytes() == want
+        on_helper = {name for name, thread in calls if thread not in caller}
+        assert on_helper and on_helper <= set(SPECIAL)
+        assert {name for name, thread in calls if thread in caller} >= {
+            "_tn_halflines", "_cauchy_halfline_poly", "_cauchy_halfline_series"}
 
     @pytest.mark.usefixtures("small_slices")
     def test_concurrent_callers_get_the_bytes_of_one_call(self):
@@ -482,21 +542,29 @@ class TestSlicedEvaluation:
 
     @pytest.mark.usefixtures("small_slices")
     def test_slices_run_in_the_callers_errstate(self, monkeypatch):
+        # the caller evaluates every slice, and the helper stages in a copy
+        # of the caller's context: both run in the caller's numpy errstate
         p = make_params(1.0)
         z = _points(p, "fn", _small(100_000))
-        seen = []
-        real = dispersion.tn_offcut_array
-        monkeypatch.setattr(dispersion, "tn_offcut_array",
-                            lambda p, piece: seen.append(np.geterr()["over"]) or real(p, piece))
+        seen, specials, caller = [], [], {threading.get_ident()}
+        evaluate = dispersion._lambda_offcut
+        monkeypatch.setattr(dispersion, "_lambda_offcut",
+                            lambda p, piece, pieces: seen.append(np.geterr()["over"])
+                            or evaluate(p, piece, pieces))
+        _spy_specials(monkeypatch, caller,
+                      lambda name: specials.append((threading.get_ident(), np.geterr()["over"])))
         with np.errstate(over="ignore"):
             lambda_fn(p, None, z)
         assert seen == ["ignore"] * len(lambda_slices(z.size))
+        assert specials and {over for _, over in specials} == {"ignore"}
+        assert _cpus() == 1 or any(thread not in caller for thread, _ in specials)
 
     @pytest.mark.usefixtures("small_slices")
     def test_error_in_a_helper_slice_reaches_the_caller(self, monkeypatch):
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        if cpus == 1:
+        # a special function that raises on the helper thread raises in the
+        # caller, after the join: the call neither hangs nor leaves a thread,
+        # and the next call gives the same bytes
+        if _cpus() == 1:
             pytest.skip("one CPU: no helper thread")
 
         class SliceError(Exception):
@@ -505,21 +573,31 @@ class TestSlicedEvaluation:
         p = make_params(1.0)
         z = _points(p, "fn", 3 * SMALL + 5)
         want = lambda_fn(p, None, z).tobytes()
-        caller, raised = threading.get_ident(), threading.Event()
-        real = dispersion.tn_offcut_array
+        real = {name: getattr(moments, name) for name in SPECIAL}
+        caller, raised = [], []
 
-        def failing(p, piece):
-            # the caller's first slice waits until the helper has raised in its own
-            if threading.get_ident() != caller:
-                raised.set()
-                raise SliceError("helper slice")
-            assert raised.wait(timeout=60)
-            return real(p, piece)
+        def fail_on_the_helper(name):
+            if threading.get_ident() not in caller:
+                raise SliceError(f"helper slice: {name}")
 
-        monkeypatch.setattr(dispersion, "tn_offcut_array", failing)
-        with pytest.raises(SliceError, match="helper slice"):
-            lambda_fn(p, None, z)
-        monkeypatch.setattr(dispersion, "tn_offcut_array", real)
+        _spy_specials(monkeypatch, caller, fail_on_the_helper)
+
+        def call():
+            caller.append(threading.get_ident())
+            try:
+                lambda_fn(p, None, z)
+            except SliceError as exc:
+                raised.append(exc)
+
+        before = threading.active_count()
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive(), "the sliced call hung"
+        assert len(raised) == 1 and str(raised[0]).startswith("helper slice")
+        assert threading.active_count() == before
+        for name, f in real.items():
+            monkeypatch.setattr(moments, name, f)
         assert lambda_fn(p, None, z).tobytes() == want
 
     @pytest.mark.usefixtures("small_slices")
@@ -556,9 +634,9 @@ class TestSlicedEvaluation:
             cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
             dispersion._LAMBDA_SLICE = 64
             p, z = make_params(1.0), np.linspace(0.1, 3.0, 3 * 64 + 5) + 0.5j
-            during, real_tn = [], dispersion.tn_offcut_array
-            dispersion.tn_offcut_array = (
-                lambda p, piece: during.append(threading.active_count()) or real_tn(p, piece))
+            during, stage = [], dispersion._tn_pieces
+            dispersion._tn_pieces = (
+                lambda p, piece: during.append(threading.active_count()) or stage(p, piece))
             real = os.sched_getaffinity if hasattr(os, "sched_getaffinity") else None
             os.sched_getaffinity = lambda pid: {0}
             want = lambda_fn(p, None, z).tobytes()
@@ -580,24 +658,53 @@ class TestSlicedEvaluation:
                               timeout=120)
         assert done.returncode == 0, done.stderr
 
+    @pytest.mark.usefixtures("small_slices")
+    def test_staging_stays_four_slices_ahead(self, monkeypatch):
+        # at a = 0 near the origin a slice stages one cheap wofz call, so
+        # the helper could run far ahead of the caller; at most four staged
+        # slices wait for it, its own and the next three
+        p = make_params(0.0)
+        z = _points(p, "fn", _small(200_000))
+        z = z * (7.5 / np.max(np.abs(z)))
+        staged, evaluated, waiting = [], [], []
+        evaluate, stage = dispersion._lambda_offcut, dispersion._tn_pieces
+
+        def spy_stage(p, piece):
+            pieces = stage(p, piece)
+            staged.append(piece.size)
+            waiting.append(len(staged) - len(evaluated))  # appends: no lost update
+            return pieces
+
+        monkeypatch.setattr(dispersion, "_tn_pieces", spy_stage)
+        monkeypatch.setattr(dispersion, "_lambda_offcut", lambda p, piece, pieces:
+                            evaluated.append(piece.size) or evaluate(p, piece, pieces))
+        lambda_fn(p, None, z)
+        assert len(staged) == len(evaluated) == len(lambda_slices(z.size))
+        assert max(waiting) <= 4
+
     def test_temporaries_scale_with_the_slice(self):
-        # the unsliced code held about 75 MiB of temporaries at 2e5 points;
-        # at a = 0 the points move out past |z| = 8, so that both half-lines
-        # of every point take the moment series, two passes a slice
-        for a in (1.0, 0.0):
+        # the unsliced code held about 75 MiB of temporaries at 2e5 points.
+        # At a = 0 points past |z| = 8 take the moment series on both
+        # half-lines, two passes a slice; points below it stage one cheap
+        # wofz call a slice, which can outrun the caller
+        for kind, a, where in (("fn", 1.0, None), ("fn", 0.0, "far"), ("fn", 0.0, "near"),
+                               ("pv", 1.0, None), ("plus", 1.0, None)):
             p = make_params(a)
-            z = _points(p, "fn", 200_000)
-            if a == 0.0:
-                z = z + 8.0 * z / np.abs(z)
-                assert np.min(np.abs(z)) >= 8.0
-            lambda_fn(p, None, z[:10])
+            x = _points(p, kind, 200_000)
+            if where == "far":
+                x = x + 8.0 * x / np.abs(x)
+                assert np.min(np.abs(x)) >= 8.0
+            elif where == "near":
+                x = x * (7.5 / np.max(np.abs(x)))
+            evaluate = EVALUATORS[kind][0]
+            evaluate(p, x[:10])
             tracemalloc.start()
             try:
-                out = lambda_fn(p, None, z)
+                out = evaluate(p, x)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= out.nbytes + 16 * 2**20, a
+            assert peak <= out.nbytes + 16 * 2**20, (kind, a, where)
 
 
 class TestCofactors:

@@ -23,6 +23,7 @@ from bgkspectral.moments import (
     _cauchy_halfline_poly,
     _cauchy_halfline_series,
     _cauchy_halflines,
+    _halfline_pieces,
     _tn_halflines,
     boundary_jump_array,
     tn_boundary_array,
@@ -479,7 +480,8 @@ def _whole_batch(rng, a, size, far):
 def _assert_kernel_matches_complex_route(a, z):
     """J rows of both half-lines and t0..t4 equal the complex route's bytes."""
     want = halflines_oracle(a, z)
-    got = [*_cauchy_halflines(a, z, 1.0 - a * z, 1.0 + a * z), _tn_halflines(a, z)]
+    got = [*_cauchy_halflines(a, z, 1.0 - a * z, 1.0 + a * z, _halfline_pieces(a, z)),
+           _tn_halflines(a, z, _halfline_pieces(a, z))]
     for name, g, w in zip(("J at Z+", "J at -Z-", "t"), got, want):
         assert g.dtype == z.dtype, name
         assert g.tobytes() == w.tobytes(), name
